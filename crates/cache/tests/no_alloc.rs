@@ -11,26 +11,49 @@
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use m2ndp_cache::{Access, CacheConfig, CacheResult, SectorFetches, SectoredCache};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Whether this thread is inside a measured window. Counting is
+    /// per-thread so allocations made by tests running concurrently on
+    /// other harness threads never leak into a measurement.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    /// Allocations this thread performed while armed.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
+/// Counts one allocation if the calling thread is armed. Both cells are
+/// `const`-initialised without destructors, so reading them never
+/// allocates; `try_with` tolerates allocations during thread teardown.
+fn note_alloc() {
+    let _ = ARMED.try_with(|armed| {
+        if armed.get() {
+            let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        }
+    });
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, so
+// `System`'s guarantees hold; counting touches only thread-local cells.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        note_alloc();
+        // SAFETY: the caller meets `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller meets `GlobalAlloc::dealloc`'s contract.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        note_alloc();
+        // SAFETY: the caller meets `GlobalAlloc::realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -38,11 +61,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Heap allocations performed while running `f`.
+/// Heap allocations this thread performed while running `f`.
 fn allocs_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    ALLOCS.with(|n| n.set(0));
+    ARMED.with(|armed| armed.set(true));
     let result = f();
-    (ALLOCS.load(Ordering::Relaxed) - before, result)
+    ARMED.with(|armed| armed.set(false));
+    (ALLOCS.with(Cell::get), result)
 }
 
 fn rd(addr: u64) -> Access {

@@ -17,7 +17,6 @@
 //!   CXL-M²NDP).
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use m2ndp_cache::{Access, CacheResult, SectoredCache};
 use m2ndp_cxl::{BackInvalidation, CxlLink, CxlMemPacket, PacketFilter};
@@ -562,9 +561,8 @@ impl CxlM2ndpDevice {
     pub fn launch(&mut self, args: LaunchArgs) -> Result<KernelInstanceId, crate::NdpApiError> {
         let spec = self
             .registry
-            .get(args.kernel_id)
+            .get_shared(args.kernel_id)
             .ok_or(crate::NdpApiError::UnknownKernel)?;
-        let spec = Arc::new(spec.clone());
         let id = KernelInstanceId(self.next_instance);
         if !self.engine.launch(self.now, id, spec, args) {
             return Err(crate::NdpApiError::LaunchBufferFull);
@@ -581,6 +579,12 @@ impl CxlM2ndpDevice {
     /// Completion cycle of an instance.
     pub fn finished_at(&self, id: KernelInstanceId) -> Option<Cycle> {
         self.engine.finished_at(id)
+    }
+
+    /// Admitted, unfinished kernel instances (bounded by the launch
+    /// buffer, `max_concurrent_kernels`).
+    pub fn resident_instances(&self) -> usize {
+        self.engine.resident_instances()
     }
 
     /// Dispatches a decoded M²func call (the NDP-controller half of the

@@ -21,7 +21,7 @@
 //! * no scalar units — scalar instructions occupy the vector ALU — and
 //!   extra index-arithmetic instructions per context (A1).
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use m2ndp_cache::{
@@ -263,7 +263,6 @@ enum InstPhase {
     Init,
     Body,
     Fini,
-    Done,
 }
 
 #[derive(Debug)]
@@ -287,11 +286,85 @@ struct Instance {
     total_tbs: u64,
     granules_per_tb: u64,
     started_at: Cycle,
-    finished_at: Option<Cycle>,
     /// Cached register bytes per context.
     ctx_reg_bytes: u32,
-    /// Scratchpad argument-block slot held while resident.
+    /// Scratchpad argument-block slot held while resident; also the
+    /// instance's index in the [`ResidentTable`].
     arg_slot: u32,
+}
+
+/// Admitted, unfinished kernel instances, indexed by the argument-block
+/// slot each one holds while resident — so the table is bounded by
+/// `max_concurrent_kernels` and the index is stable for the instance's
+/// whole residency. µthread slots and TB groups refer to their instance
+/// by this index; a finished instance has no outstanding contexts, so
+/// nothing still refers to it when it is removed.
+#[derive(Debug)]
+struct ResidentTable {
+    slots: Vec<Option<Instance>>,
+    /// Occupied indices in admission order: the spawn passes' walk order.
+    order: Vec<u32>,
+}
+
+impl ResidentTable {
+    fn new(capacity: u32) -> Self {
+        Self {
+            slots: (0..capacity).map(|_| None).collect(),
+            order: Vec::with_capacity(capacity as usize),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    /// Index of the `k`-th resident instance in admission order.
+    fn nth(&self, k: usize) -> Option<usize> {
+        self.order.get(k).map(|&i| i as usize)
+    }
+
+    fn get(&self, i: usize) -> Option<&Instance> {
+        self.slots[i].as_ref()
+    }
+
+    fn insert(&mut self, inst: Instance) {
+        let i = inst.arg_slot;
+        debug_assert!(self.slots[i as usize].is_none(), "arg slot {i} in use");
+        self.order.push(i);
+        self.slots[i as usize] = Some(inst);
+    }
+
+    fn remove(&mut self, i: usize) -> Instance {
+        let pos = self
+            .order
+            .iter()
+            .position(|&o| o as usize == i)
+            .expect("removed instance is resident");
+        self.order.remove(pos);
+        self.slots[i].take().expect("removed instance is resident")
+    }
+}
+
+impl std::ops::Index<usize> for ResidentTable {
+    type Output = Instance;
+    fn index(&self, i: usize) -> &Instance {
+        self.slots[i].as_ref().expect("instance is resident")
+    }
+}
+
+impl std::ops::IndexMut<usize> for ResidentTable {
+    fn index_mut(&mut self, i: usize) -> &mut Instance {
+        self.slots[i].as_mut().expect("instance is resident")
+    }
+}
+
+/// Where a launched instance is in its lifecycle. A retired instance keeps
+/// only its completion cycle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Lifecycle {
+    Queued,
+    Resident,
+    Retired(Cycle),
 }
 
 /// Aggregate engine statistics.
@@ -373,8 +446,12 @@ pub enum EngineEvent {
 pub struct Engine {
     cfg: EngineConfig,
     units: Vec<Unit>,
-    instances: Vec<Instance>,
+    resident: ResidentTable,
     queued: VecDeque<Instance>,
+    /// Lifecycle of every instance ever launched, so status queries stay
+    /// O(1) after the instance itself is dropped. The entry is inserted at
+    /// launch; admission and retirement only update it in place.
+    lifecycle: HashMap<KernelInstanceId, Lifecycle>,
     next_virtual_spad: u32,
     /// Instances whose body-iteration word must be rewritten at the next
     /// tick (multi-body synchronization, §III-G).
@@ -456,6 +533,7 @@ impl Engine {
     /// Builds an engine from its configuration.
     pub fn new(cfg: EngineConfig) -> Self {
         let free_arg_slots: Vec<u32> = (0..cfg.max_concurrent_kernels).rev().collect();
+        let resident = ResidentTable::new(cfg.max_concurrent_kernels);
         let units = (0..cfg.units)
             .map(|_| {
                 let mut free_slots = Vec::new();
@@ -485,8 +563,9 @@ impl Engine {
         Self {
             cfg,
             units,
-            instances: Vec::new(),
+            resident,
             queued: VecDeque::new(),
+            lifecycle: HashMap::new(),
             next_virtual_spad: 4096, // TB spad backing starts past real units
             pending_iter_update: Vec::new(),
             iter_scratch: Vec::new(),
@@ -586,11 +665,13 @@ impl Engine {
 
     /// Number of resident + queued kernel instances.
     pub fn live_instances(&self) -> usize {
-        self.instances
-            .iter()
-            .filter(|i| i.phase != InstPhase::Done)
-            .count()
-            + self.queued.len()
+        self.resident.len() + self.queued.len()
+    }
+
+    /// Number of admitted, unfinished kernel instances (never more than
+    /// `max_concurrent_kernels`).
+    pub(crate) fn resident_instances(&self) -> usize {
+        self.resident.len()
     }
 
     /// Submits a kernel launch. Returns `false` when the launch buffer is
@@ -605,11 +686,8 @@ impl Engine {
         if self.live_instances() >= self.cfg.max_concurrent_kernels as usize {
             return false;
         }
-        let span = self.cfg.context_span_bytes() as u64;
         let pool_bytes = launch.pool_bound.saturating_sub(launch.pool_base);
         let granules = pool_bytes.div_ceil(self.cfg.granule_bytes as u64).max(1);
-        let contexts = granules.div_ceil(self.cfg.threads_per_context as u64);
-        let _ = span;
         let ctx_reg_bytes =
             self.cfg
                 .context_reg_bytes(spec.int_regs, spec.float_regs, spec.vector_regs);
@@ -644,46 +722,39 @@ impl Engine {
             total_tbs,
             granules_per_tb,
             started_at: now,
-            finished_at: None,
             ctx_reg_bytes,
             arg_slot: u32::MAX,
         };
-        let _ = contexts;
         Self::push_ev(&mut self.trace, || EngineEvent::Launched {
             at: now,
             instance: inst.id.0,
             kernel: inst.launch.kernel_id.0,
         });
+        self.lifecycle.insert(id, Lifecycle::Queued);
         self.queued.push_back(inst);
         true
     }
 
     /// Status of an instance for `ndpPollKernelStatus`.
     pub fn status(&self, id: KernelInstanceId) -> Option<InstanceStatus> {
-        if self.queued.iter().any(|i| i.id == id) {
-            return Some(InstanceStatus::Pending);
-        }
-        self.instances
-            .iter()
-            .find(|i| i.id == id)
-            .map(|i| match i.phase {
-                InstPhase::Done => InstanceStatus::Finished,
-                InstPhase::Pending => InstanceStatus::Pending,
-                _ => InstanceStatus::Running,
-            })
+        self.lifecycle.get(&id).map(|l| match l {
+            Lifecycle::Queued => InstanceStatus::Pending,
+            Lifecycle::Resident => InstanceStatus::Running,
+            Lifecycle::Retired(_) => InstanceStatus::Finished,
+        })
     }
 
     /// Completion cycle of an instance, if finished.
     pub fn finished_at(&self, id: KernelInstanceId) -> Option<Cycle> {
-        self.instances
-            .iter()
-            .find(|i| i.id == id)
-            .and_then(|i| i.finished_at)
+        match self.lifecycle.get(&id) {
+            Some(&Lifecycle::Retired(at)) => Some(at),
+            _ => None,
+        }
     }
 
     /// Whether all submitted work has completed.
     pub fn is_idle(&self) -> bool {
-        self.queued.is_empty() && self.instances.iter().all(|i| i.phase == InstPhase::Done)
+        self.queued.is_empty() && self.resident.len() == 0
     }
 
     /// Pops an outbound memory request from a unit.
@@ -816,16 +887,8 @@ impl Engine {
             inst.arg_slot = arg_slot;
             // Resource sanity: one context must fit a unit's register file.
             if inst.ctx_reg_bytes > self.cfg.regfile_bytes_per_unit {
-                inst.phase = InstPhase::Done;
-                inst.finished_at = Some(now);
-                self.free_arg_slots.push(inst.arg_slot);
-                Self::push_ev(&mut self.trace, || EngineEvent::Retired {
-                    at: now,
-                    instance: inst.id.0,
-                    kernel: inst.launch.kernel_id.0,
-                    started: now,
-                });
-                self.instances.push(inst);
+                inst.started_at = now;
+                self.retire(now, inst);
                 continue;
             }
             inst.started_at = now;
@@ -843,8 +906,23 @@ impl Engine {
                     InstPhase::Body
                 };
             }
-            self.instances.push(inst);
+            self.lifecycle.insert(inst.id, Lifecycle::Resident);
+            self.resident.insert(inst);
         }
+    }
+
+    /// Retires a finished instance: its completion cycle is the only record
+    /// kept, its argument-block slot returns to the free list, and the
+    /// instance itself (spec handle, launch args) is dropped.
+    fn retire(&mut self, now: Cycle, inst: Instance) {
+        self.lifecycle.insert(inst.id, Lifecycle::Retired(now));
+        self.free_arg_slots.push(inst.arg_slot);
+        Self::push_ev(&mut self.trace, || EngineEvent::Retired {
+            at: now,
+            instance: inst.id.0,
+            kernel: inst.launch.kernel_id.0,
+            started: inst.started_at,
+        });
     }
 
     fn arg_block_off(&self, arg_slot: u32) -> u64 {
@@ -898,15 +976,18 @@ impl Engine {
         let units = self.cfg.units as usize;
         let total_slots = self.cfg.total_slots();
         let tracing = self.trace.is_some();
-        for inst_idx in 0..self.instances.len() {
+        // Placing contexts never retires an instance, so the admission
+        // order is stable for the whole pass.
+        for k in 0..self.resident.len() {
+            let inst_idx = self.resident.order[k] as usize;
             let mut wave_counts: Vec<u32> = if tracing { vec![0; units] } else { Vec::new() };
             let (phase, id) = {
-                let inst = &self.instances[inst_idx];
+                let inst = &self.resident[inst_idx];
                 (inst.phase, inst.arg_slot)
             };
             match phase {
                 InstPhase::Init | InstPhase::Fini => loop {
-                    let inst = &self.instances[inst_idx];
+                    let inst = &self.resident[inst_idx];
                     if inst.once_spawned >= total_slots {
                         break;
                     }
@@ -926,8 +1007,8 @@ impl Engine {
                         unit_idx, ss, inst_idx, prog_phase, 0, uid as u64, arg_va, None,
                     );
                     placed += 1;
-                    self.instances[inst_idx].once_spawned += 1;
-                    self.instances[inst_idx].outstanding += 1;
+                    self.resident[inst_idx].once_spawned += 1;
+                    self.resident[inst_idx].outstanding += 1;
                     if tracing {
                         wave_counts[unit_idx] += 1;
                     }
@@ -939,7 +1020,7 @@ impl Engine {
                     #[allow(clippy::needless_range_loop)]
                     for unit_idx in 0..units {
                         loop {
-                            let inst = &self.instances[inst_idx];
+                            let inst = &self.resident[inst_idx];
                             let cursor = inst.unit_cursor[unit_idx];
                             let granule = unit_idx as u64 + cursor * units as u64;
                             if granule >= inst.granules {
@@ -949,7 +1030,7 @@ impl Engine {
                             let Some(ss) = self.take_slot(unit_idx, reg_bytes) else {
                                 break;
                             };
-                            let inst = &self.instances[inst_idx];
+                            let inst = &self.resident[inst_idx];
                             let gb = self.cfg.granule_bytes as u64;
                             let addr = inst.launch.pool_base + granule * gb;
                             let arg_va = self.arg_block_va(id);
@@ -964,8 +1045,8 @@ impl Engine {
                                 None,
                             );
                             placed += 1;
-                            self.instances[inst_idx].unit_cursor[unit_idx] += 1;
-                            self.instances[inst_idx].outstanding += 1;
+                            self.resident[inst_idx].unit_cursor[unit_idx] += 1;
+                            self.resident[inst_idx].outstanding += 1;
                             if tracing {
                                 wave_counts[unit_idx] += 1;
                             }
@@ -975,7 +1056,7 @@ impl Engine {
                 _ => {}
             }
             if tracing {
-                let instance = self.instances[inst_idx].id.0;
+                let instance = self.resident[inst_idx].id.0;
                 for (unit, &count) in wave_counts.iter().enumerate() {
                     if count > 0 {
                         Self::push_ev(&mut self.trace, || EngineEvent::WaveSpawn {
@@ -1000,9 +1081,11 @@ impl Engine {
         let units = self.cfg.units as usize;
         let batch = self.cfg.spawn_batch_contexts;
         let tpc = self.cfg.threads_per_context;
-        for inst_idx in 0..self.instances.len() {
-            loop {
-                let inst = &self.instances[inst_idx];
+        let mut k = 0;
+        while let Some(inst_idx) = self.resident.nth(k) {
+            // An empty TB released through the completion path below can
+            // retire the instance in the middle of its pass.
+            while let Some(inst) = self.resident.get(inst_idx) {
                 if inst.phase != InstPhase::Body || inst.next_tb >= inst.total_tbs {
                     break;
                 }
@@ -1015,7 +1098,7 @@ impl Engine {
                 {
                     break;
                 }
-                let inst = &self.instances[inst_idx];
+                let inst = &self.resident[inst_idx];
                 let chunk_start = tb_ord * inst.granules_per_tb;
                 let chunk_len = inst.granules_per_tb.min(inst.granules - chunk_start);
                 let spad_unit = self.next_virtual_spad;
@@ -1027,7 +1110,7 @@ impl Engine {
                 let mut members = Vec::with_capacity(batch as usize);
                 for _ in 0..batch {
                     let ss = self
-                        .take_slot(unit_idx, self.instances[inst_idx].ctx_reg_bytes)
+                        .take_slot(unit_idx, self.resident[inst_idx].ctx_reg_bytes)
                         .expect("checked free slots above");
                     members.push(ss);
                 }
@@ -1048,9 +1131,6 @@ impl Engine {
                 // Assign grid-stride spans: context j takes granule spans
                 // starting at chunk_start + j*tpc, striding batch*tpc.
                 let arg_va = self.arg_block_va(id);
-                let inst = &self.instances[inst_idx];
-                let gb = self.cfg.granule_bytes as u64;
-                let pool_base = inst.launch.pool_base;
                 for (j, ss) in members.iter().enumerate() {
                     let mut spans = VecDeque::new();
                     let mut s = chunk_start + j as u64 * tpc as u64;
@@ -1058,8 +1138,6 @@ impl Engine {
                         spans.push_back(s);
                         s += (batch * tpc) as u64;
                     }
-                    let _ = pool_base;
-                    let _ = gb;
                     if self.units[unit_idx].tbs[tb_idx].state == TbState::Init {
                         if j == 0 {
                             self.place(
@@ -1085,7 +1163,7 @@ impl Engine {
                             slot.phase = Phase::Body;
                             slot.tb = Some(tb_idx);
                             slot.spans = spans;
-                            slot.reg_bytes = self.instances[inst_idx].ctx_reg_bytes;
+                            slot.reg_bytes = self.resident[inst_idx].ctx_reg_bytes;
                             self.units[unit_idx].active_contexts += 1;
                         }
                     } else {
@@ -1098,7 +1176,7 @@ impl Engine {
                         slot.spans = spans;
                         slot.instance = inst_idx;
                         slot.tb = Some(tb_idx);
-                        slot.reg_bytes = self.instances[inst_idx].ctx_reg_bytes;
+                        slot.reg_bytes = self.resident[inst_idx].ctx_reg_bytes;
                         slot.state = SlotState::Parked;
                         self.units[unit_idx].active_contexts += 1;
                         if has_spans {
@@ -1114,8 +1192,8 @@ impl Engine {
                 if self.units[unit_idx].tbs[tb_idx].state == TbState::Body
                     && self.units[unit_idx].tbs[tb_idx].remaining == 0
                 {
-                    self.instances[inst_idx].outstanding += 1;
-                    self.instances[inst_idx].next_tb += 1;
+                    self.resident[inst_idx].outstanding += 1;
+                    self.resident[inst_idx].next_tb += 1;
                     self.advance_tb(_now, unit_idx, tb_idx);
                     self.stats
                         .addr_calc_instrs
@@ -1124,19 +1202,24 @@ impl Engine {
                     continue;
                 }
 
-                self.instances[inst_idx].next_tb += 1;
-                self.instances[inst_idx].outstanding += 1;
+                self.resident[inst_idx].next_tb += 1;
+                self.resident[inst_idx].outstanding += 1;
                 placed += 1;
                 self.stats
                     .addr_calc_instrs
                     .add((self.cfg.addr_calc_overhead * batch) as u64);
-                let instance = self.instances[inst_idx].id.0;
+                let instance = self.resident[inst_idx].id.0;
                 Self::push_ev(&mut self.trace, || EngineEvent::WaveSpawn {
                     at: _now,
                     unit: unit_idx as u32,
                     instance,
                     count: batch,
                 });
+            }
+            // A retired instance left the admission order; its successor
+            // now sits at position `k`.
+            if self.resident.get(inst_idx).is_some() {
+                k += 1;
             }
         }
         placed
@@ -1154,13 +1237,11 @@ impl Engine {
         let tpc = self.cfg.threads_per_context as u64;
         let gb = self.cfg.granule_bytes as u64;
         let (pool_base, granules, id) = {
-            let inst = &self.instances[inst_idx];
+            let inst = &self.resident[inst_idx];
             (inst.launch.pool_base, inst.granules, inst.arg_slot)
         };
         let arg_va = self.arg_block_va(id);
         let unit = &mut self.units[unit_idx];
-        let spad_unit = unit.tbs[tb_idx].spad_unit;
-        let _ = spad_unit;
         let sc = &mut unit.subcores[ss.subcore as usize];
         let slot = &mut sc.slots[ss.slot as usize];
         let Some(span_start) = slot.spans.pop_front() else {
@@ -1215,7 +1296,7 @@ impl Engine {
         arg_va: u64,
         tb: Option<usize>,
     ) {
-        let reg_bytes = self.instances[inst_idx].ctx_reg_bytes;
+        let reg_bytes = self.resident[inst_idx].ctx_reg_bytes;
         let unit = &mut self.units[unit_idx];
         let sc = &mut unit.subcores[ss.subcore as usize];
         let slot = &mut sc.slots[ss.slot as usize];
@@ -1294,7 +1375,7 @@ impl Engine {
             }
             let scan = {
                 let slot = &self.units[unit_idx].subcores[sc_idx].slots[slot_idx as usize];
-                let spec = &self.instances[slot.instance].spec;
+                let spec = &self.resident[slot.instance].spec;
                 let prog = match slot.phase {
                     Phase::Init => spec.init.as_ref().expect("init phase has program"),
                     Phase::Body => &spec.body,
@@ -1369,7 +1450,7 @@ impl Engine {
         };
         // One Arc clone per *issue* (not per scanned slot) keeps the spec
         // alive across the disjoint unit/instance borrows below.
-        let spec = self.instances[inst_idx].spec.clone();
+        let spec = self.resident[inst_idx].spec.clone();
         let prog = match phase {
             Phase::Init => spec.init.as_ref().expect("init"),
             Phase::Body => &spec.body,
@@ -1482,7 +1563,6 @@ impl Engine {
             subcore: sc_idx as u8,
             slot: slot_idx,
         };
-        let spad_lat = self.cfg.lat.spad;
         let mut max_local_ready = now + 1;
         let mut pending = 0u32;
 
@@ -1504,7 +1584,6 @@ impl Engine {
                 let unit = &mut self.units[unit_idx];
                 let ready = unit.spad.access(now, op.bytes, op.write, op.amo);
                 max_local_ready = max_local_ready.max(ready);
-                let _ = spad_lat;
             } else if op.amo {
                 global_amos.push((op.addr, op.bytes));
             } else if op.write {
@@ -1734,12 +1813,12 @@ impl Engine {
                 }
             }
             TbState::Body => {
-                let has_fini = self.instances[inst_idx].spec.fini.is_some();
+                let has_fini = self.resident[inst_idx].spec.fini.is_some();
                 if has_fini {
                     self.units[unit_idx].tbs[tb_idx].state = TbState::Fini;
                     self.units[unit_idx].tbs[tb_idx].remaining = 1;
                     let ss = members[0];
-                    let id = self.instances[inst_idx].arg_slot;
+                    let id = self.resident[inst_idx].arg_slot;
                     let arg_va = self.arg_block_va(id);
                     let sc = &mut self.units[unit_idx].subcores[ss.subcore as usize];
                     let slot = &mut sc.slots[ss.slot as usize];
@@ -1787,98 +1866,87 @@ impl Engine {
         // Phase transitions below (Init→Body, Body rerun, →Fini) can make
         // new work spawnable even without a slot freeing first.
         self.spawn_exhausted = false;
+        if self.context_done_finishes(now, inst_idx, phase) {
+            let inst = self.resident.remove(inst_idx);
+            self.retire(now, inst);
+        }
+    }
+
+    /// Advances the instance's phase for one finished context (or TB) and
+    /// returns whether the instance has now finished.
+    fn context_done_finishes(&mut self, now: Cycle, inst_idx: usize, phase: Phase) -> bool {
         let tb_mode = self.cfg.spawn_batch_contexts > 1;
         let total_slots = self.cfg.total_slots();
-        let inst = &mut self.instances[inst_idx];
+        let inst = &mut self.resident[inst_idx];
         match phase {
             Phase::Init | Phase::Fini if !tb_mode => {
                 inst.once_done += 1;
                 inst.outstanding -= 1;
-                if inst.once_done == total_slots {
-                    Self::push_ev(&mut self.trace, || EngineEvent::WaveDrain {
-                        at: now,
-                        instance: inst.id.0,
-                    });
-                    match inst.phase {
-                        InstPhase::Init => {
-                            inst.phase = InstPhase::Body;
-                            inst.once_spawned = 0;
-                            inst.once_done = 0;
-                        }
-                        InstPhase::Fini => {
-                            inst.phase = InstPhase::Done;
-                            inst.finished_at = Some(now);
-                            self.free_arg_slots.push(inst.arg_slot);
-                            Self::push_ev(&mut self.trace, || EngineEvent::Retired {
-                                at: now,
-                                instance: inst.id.0,
-                                kernel: inst.launch.kernel_id.0,
-                                started: inst.started_at,
-                            });
-                        }
-                        _ => {}
+                if inst.once_done != total_slots {
+                    return false;
+                }
+                Self::push_ev(&mut self.trace, || EngineEvent::WaveDrain {
+                    at: now,
+                    instance: inst.id.0,
+                });
+                match inst.phase {
+                    InstPhase::Init => {
+                        inst.phase = InstPhase::Body;
+                        inst.once_spawned = 0;
+                        inst.once_done = 0;
+                        false
                     }
+                    InstPhase::Fini => true,
+                    _ => false,
                 }
             }
-            _ => {
+            _ if tb_mode => {
                 inst.outstanding -= 1;
-                if tb_mode {
-                    if inst.next_tb >= inst.total_tbs && inst.outstanding == 0 {
-                        Self::push_ev(&mut self.trace, || EngineEvent::WaveDrain {
-                            at: now,
-                            instance: inst.id.0,
-                        });
-                        inst.body_iter += 1;
-                        if inst.body_iter < inst.launch.body_iterations {
-                            // Multi-body barrier (§III-G): rerun the grid.
-                            inst.next_tb = 0;
-                        } else {
-                            inst.phase = InstPhase::Done;
-                            inst.finished_at = Some(now);
-                            self.free_arg_slots.push(inst.arg_slot);
-                            Self::push_ev(&mut self.trace, || EngineEvent::Retired {
-                                at: now,
-                                instance: inst.id.0,
-                                kernel: inst.launch.kernel_id.0,
-                                started: inst.started_at,
-                            });
-                        }
-                    }
-                    return;
+                if inst.next_tb < inst.total_tbs || inst.outstanding > 0 {
+                    return false;
                 }
+                Self::push_ev(&mut self.trace, || EngineEvent::WaveDrain {
+                    at: now,
+                    instance: inst.id.0,
+                });
+                inst.body_iter += 1;
+                if inst.body_iter < inst.launch.body_iterations {
+                    // Multi-body barrier (§III-G): rerun the grid.
+                    inst.next_tb = 0;
+                    return false;
+                }
+                true
+            }
+            _ => {
                 // NDP body: iteration barrier / completion check.
+                inst.outstanding -= 1;
                 let units = self.cfg.units as u64;
                 let all_spawned = (0..self.cfg.units as usize).all(|u| {
                     let granule = u as u64 + inst.unit_cursor[u] * units;
                     granule >= inst.granules
                 });
-                if all_spawned && inst.outstanding == 0 {
-                    Self::push_ev(&mut self.trace, || EngineEvent::WaveDrain {
-                        at: now,
-                        instance: inst.id.0,
-                    });
-                    inst.body_iter += 1;
-                    if inst.body_iter < inst.launch.body_iterations {
-                        inst.unit_cursor.iter_mut().for_each(|c| *c = 0);
-                        // Update the iteration word in every unit's args.
-                        // (done lazily in tick via needs_iter_update flag)
-                        inst.phase = InstPhase::Body;
-                        self.pending_iter_update.push(inst_idx);
-                    } else if inst.spec.fini.is_some() {
-                        inst.phase = InstPhase::Fini;
-                        inst.once_spawned = 0;
-                        inst.once_done = 0;
-                    } else {
-                        inst.phase = InstPhase::Done;
-                        inst.finished_at = Some(now);
-                        self.free_arg_slots.push(inst.arg_slot);
-                        Self::push_ev(&mut self.trace, || EngineEvent::Retired {
-                            at: now,
-                            instance: inst.id.0,
-                            kernel: inst.launch.kernel_id.0,
-                            started: inst.started_at,
-                        });
-                    }
+                if !all_spawned || inst.outstanding > 0 {
+                    return false;
+                }
+                Self::push_ev(&mut self.trace, || EngineEvent::WaveDrain {
+                    at: now,
+                    instance: inst.id.0,
+                });
+                inst.body_iter += 1;
+                if inst.body_iter < inst.launch.body_iterations {
+                    inst.unit_cursor.iter_mut().for_each(|c| *c = 0);
+                    // Update the iteration word in every unit's args
+                    // (done lazily at the next tick).
+                    inst.phase = InstPhase::Body;
+                    self.pending_iter_update.push(inst_idx);
+                    false
+                } else if inst.spec.fini.is_some() {
+                    inst.phase = InstPhase::Fini;
+                    inst.once_spawned = 0;
+                    inst.once_done = 0;
+                    false
+                } else {
+                    true
                 }
             }
         }
@@ -1897,7 +1965,7 @@ impl Engine {
             std::mem::take(&mut self.iter_scratch),
         );
         for &inst_idx in &pending {
-            let inst = &self.instances[inst_idx];
+            let inst = &self.resident[inst_idx];
             let off = self.arg_block_off(inst.arg_slot);
             for u in 0..self.cfg.units {
                 let base = spad_backing_addr(u, off);
@@ -2107,6 +2175,28 @@ mod tests {
             spec,
             LaunchArgs::new(crate::kernel::KernelId(0), 0x1000, 0x2000)
         ));
+    }
+
+    #[test]
+    fn oversized_context_finishes_at_admission() {
+        // A context larger than a unit's register file can never run: the
+        // instance is admitted and retired in the same tick.
+        let mut engine = Engine::new(EngineConfig {
+            regfile_bytes_per_unit: 16,
+            ..small_cfg()
+        });
+        let mut mem = MainMemory::new();
+        let id = KernelInstanceId(3);
+        let launch = LaunchArgs::new(crate::kernel::KernelId(0), 0x1000, 0x2000);
+        assert!(engine.launch(0, id, Arc::new(vec_double_kernel()), launch));
+        assert_eq!(engine.status(id), Some(InstanceStatus::Pending));
+        assert_eq!(engine.finished_at(id), None);
+        engine.tick(5, &mut mem);
+        assert_eq!(engine.status(id), Some(InstanceStatus::Finished));
+        assert_eq!(engine.finished_at(id), Some(5));
+        assert!(engine.is_idle());
+        assert_eq!(engine.resident_instances(), 0);
+        assert_eq!(engine.status(KernelInstanceId(4)), None);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! declared: scratchpad bytes and integer/float/vector register counts.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use m2ndp_riscv::program::RegUsage;
 use m2ndp_riscv::Program;
@@ -164,9 +165,12 @@ impl LaunchArgs {
 }
 
 /// The kernel registry held in the M²func region's metadata area (§III-B).
+///
+/// Specs are held behind [`Arc`] so every launched instance shares its
+/// kernel's spec instead of copying the programs.
 #[derive(Debug, Default)]
 pub struct KernelRegistry {
-    kernels: HashMap<KernelId, KernelSpec>,
+    kernels: HashMap<KernelId, Arc<KernelSpec>>,
     next: u32,
 }
 
@@ -180,7 +184,7 @@ impl KernelRegistry {
     pub fn register(&mut self, spec: KernelSpec) -> KernelId {
         let id = KernelId(self.next);
         self.next += 1;
-        self.kernels.insert(id, spec);
+        self.kernels.insert(id, Arc::new(spec));
         id
     }
 
@@ -192,7 +196,12 @@ impl KernelRegistry {
 
     /// Looks up a kernel.
     pub fn get(&self, id: KernelId) -> Option<&KernelSpec> {
-        self.kernels.get(&id)
+        self.kernels.get(&id).map(Arc::as_ref)
+    }
+
+    /// A shared handle to a kernel's spec (what a launch hands the engine).
+    pub(crate) fn get_shared(&self, id: KernelId) -> Option<Arc<KernelSpec>> {
+        self.kernels.get(&id).map(Arc::clone)
     }
 
     /// Number of registered kernels.
@@ -210,7 +219,7 @@ impl KernelRegistry {
     pub fn iter(&self) -> impl Iterator<Item = (KernelId, &KernelSpec)> {
         let mut ids: Vec<KernelId> = self.kernels.keys().copied().collect();
         ids.sort_unstable_by_key(|k| k.0);
-        ids.into_iter().map(|id| (id, &self.kernels[&id]))
+        ids.into_iter().map(|id| (id, self.kernels[&id].as_ref()))
     }
 }
 

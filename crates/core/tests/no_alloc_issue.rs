@@ -5,7 +5,8 @@
 //! and every scratch buffer has reached its high-water capacity,
 //! `Engine::tick` — spawning µthreads into reused slot storage, issuing
 //! SIMT groups through `step_group` into the engine-owned `EffectBuf`,
-//! and retiring contexts — performs **zero** heap allocations.
+//! retiring contexts, and retiring finished kernel instances — performs
+//! **zero** heap allocations.
 
 // A global counting allocator is the only way to observe heap traffic, and
 // implementing `GlobalAlloc` is inherently unsafe; everything else in the
@@ -13,7 +14,7 @@
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use m2ndp_core::engine::{Engine, RequestKind};
@@ -23,20 +24,43 @@ use m2ndp_riscv::assemble;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Whether this thread is inside a measured window. Counting is
+    /// per-thread so allocations made by tests running concurrently on
+    /// other harness threads never leak into a measurement.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    /// Allocations this thread performed while armed.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
+/// Counts one allocation if the calling thread is armed. Both cells are
+/// `const`-initialised without destructors, so reading them never
+/// allocates; `try_with` tolerates allocations during thread teardown.
+fn note_alloc() {
+    let _ = ARMED.try_with(|armed| {
+        if armed.get() {
+            let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        }
+    });
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, so
+// `System`'s guarantees hold; counting touches only thread-local cells.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        note_alloc();
+        // SAFETY: the caller meets `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller meets `GlobalAlloc::dealloc`'s contract.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        note_alloc();
+        // SAFETY: the caller meets `GlobalAlloc::realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -44,11 +68,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Heap allocations performed while running `f`.
+/// Heap allocations this thread performed while running `f`.
 fn allocs_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    ALLOCS.with(|n| n.set(0));
+    ARMED.with(|armed| armed.set(true));
     let result = f();
-    (ALLOCS.load(Ordering::Relaxed) - before, result)
+    ARMED.with(|armed| armed.set(false));
+    (ALLOCS.with(Cell::get), result)
 }
 
 fn small_cfg() -> EngineConfig {
@@ -153,4 +179,54 @@ fn steady_state_vector_memory_issue_does_not_allocate() {
         allocs, 0,
         "steady-state vector load/store issue path must not allocate"
     );
+}
+
+#[test]
+fn retiring_instances_does_not_allocate() {
+    // A full launch buffer of small ALU-loop instances: as each one drains
+    // it is retired (dropped, its completion cycle recorded) and the next
+    // resident instance's µthreads take over the freed slots.
+    let body = assemble(
+        "li x4, 16
+         loop: addi x4, x4, -1
+         bnez x4, loop
+         halt",
+    )
+    .unwrap();
+    let spec = Arc::new(KernelSpec::body_only("alu_loop", body));
+    let cfg = small_cfg();
+    let buffer = cfg.max_concurrent_kernels;
+    let mut engine = Engine::new(cfg);
+    let mut mem = MainMemory::new();
+    let base = 0x10_0000u64;
+    let granules = 64u64;
+    for i in 0..buffer {
+        let launch = LaunchArgs::new(KernelId(0), base, base + granules * 32);
+        assert!(engine.launch(0, KernelInstanceId(i), spec.clone(), launch));
+    }
+
+    let mut now = 0u64;
+    for _ in 0..200 {
+        tick_and_drain(&mut engine, &mut mem, now);
+        now += 1;
+    }
+    let before = engine.live_instances();
+    assert_eq!(before, buffer as usize, "warm-up must not retire anything");
+
+    let (allocs, _) = allocs_during(|| {
+        for _ in 0..2000 {
+            tick_and_drain(&mut engine, &mut mem, now);
+            now += 1;
+        }
+    });
+    let after = engine.live_instances();
+    assert!(
+        after > 0,
+        "measurement must end with instances still resident"
+    );
+    assert!(
+        before - after >= 8,
+        "measurement must cover retirements ({before} -> {after} live)"
+    );
+    assert_eq!(allocs, 0, "retiring finished instances must not allocate");
 }
