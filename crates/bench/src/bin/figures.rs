@@ -18,26 +18,6 @@
 //!   --check                gate the emitted ratios on the paper-anchored
 //!                          tolerance bands; nonzero exit on drift
 //!   --out DIR              output directory (default: target/figures)
-//!   --timing FILE          also write a wall-clock timing JSON (per-cell
-//!                          and per-figure wall seconds, the effective
-//!                          cell/fleet worker counts, and each cell's worker
-//!                          id — the perf-trajectory artifact; wall times
-//!                          never enter the result JSON)
-//!   --timing-append FILE   append this run to a committed perf-trajectory
-//!                          history (BENCH_TIMING.json): one entry per git
-//!                          revision (rev from $M2NDP_GIT_REV, else
-//!                          `git rev-parse --short HEAD`, else "unknown")
-//!                          with per-cell wall seconds and steps/sec;
-//!                          re-running on the same revision replaces its
-//!                          entry in place
-//!   --timing-gate FILE     perf-trajectory gate: compare this run's
-//!                          per-cell speed (simulated cycles per wall
-//!                          second; cells/sec for analytic cells) against
-//!                          the latest entry in FILE and exit nonzero when
-//!                          a cell drops below the file's committed
-//!                          `tolerance.min_speed_frac` — the wall-clock
-//!                          analogue of `--snapshot`. The tolerance is
-//!                          wide by design (catches blowups, not jitter)
 //!   --trace DIR            also re-run every selected serving cell with
 //!                          the observability layer on and write one Chrome
 //!                          trace-event JSON per cell to DIR (load in
@@ -73,8 +53,7 @@ use m2ndp::host::serve::SchedulerKind;
 use m2ndp::sim::par;
 use m2ndp_bench::golden::{self, Verdict};
 use m2ndp_bench::json::Json;
-use m2ndp_bench::sweep::{self, CellOut, CellRun, FigId, JobBudget, Metric};
-use m2ndp_bench::timing;
+use m2ndp_bench::sweep::{self, CellOut, FigId, JobBudget, Metric};
 
 struct Options {
     only: Vec<FigId>,
@@ -83,9 +62,6 @@ struct Options {
     fleet_jobs: usize,
     check: bool,
     out: String,
-    timing: Option<String>,
-    timing_append: Option<String>,
-    timing_gate: Option<String>,
     trace: Option<String>,
     snapshot: Option<String>,
     scheduler: Option<SchedulerKind>,
@@ -96,8 +72,7 @@ struct Options {
 fn usage() -> ! {
     eprintln!(
         "usage: figures [--only fig10a,fig10c,...] [--fast] [--jobs N] [--fleet-jobs N] \
-         [--check] [--out DIR] [--timing FILE] [--timing-append FILE] [--timing-gate FILE] \
-         [--trace DIR] [--snapshot FILE] \
+         [--check] [--out DIR] [--trace DIR] [--snapshot FILE] \
          [--scheduler NAME] [--list] [--quiet]\nfigures: {}\nschedulers: {}",
         FigId::all().map(FigId::id).join(", "),
         SchedulerKind::all().map(SchedulerKind::name).join(", ")
@@ -115,9 +90,6 @@ fn parse_args() -> Options {
         fleet_jobs: par::env_jobs("M2NDP_FLEET_JOBS").unwrap_or(1),
         check: false,
         out: "target/figures".to_string(),
-        timing: None,
-        timing_append: None,
-        timing_gate: None,
         trace: None,
         snapshot: None,
         scheduler: None,
@@ -167,13 +139,6 @@ fn parse_args() -> Options {
             }
             "--check" => opts.check = true,
             "--out" => opts.out = args.next().unwrap_or_else(|| usage()),
-            "--timing" => opts.timing = Some(args.next().unwrap_or_else(|| usage())),
-            "--timing-append" => {
-                opts.timing_append = Some(args.next().unwrap_or_else(|| usage()));
-            }
-            "--timing-gate" => {
-                opts.timing_gate = Some(args.next().unwrap_or_else(|| usage()));
-            }
             "--trace" => opts.trace = Some(args.next().unwrap_or_else(|| usage())),
             "--snapshot" => opts.snapshot = Some(args.next().unwrap_or_else(|| usage())),
             "--scheduler" => {
@@ -196,7 +161,7 @@ fn parse_args() -> Options {
     opts
 }
 
-fn list_figures(opts: &Options) {
+fn list_figures() {
     println!("figures (cells full/fast):");
     for fig in FigId::all() {
         println!(
@@ -214,97 +179,6 @@ fn list_figures(opts: &Options) {
             band.metric, band.lo, band.hi, band.paper
         );
     }
-    let _ = opts;
-}
-
-/// The `--timing` perf-trajectory artifact (schema v3): per-cell and
-/// per-figure wall seconds, the nested-parallelism budget actually in
-/// effect (requested `--jobs`, effective cell-level and fleet-level worker
-/// counts), the pool worker that ran each cell, and — new in v3 —
-/// per-cell simulated instructions per wall second
-/// (`sim_instrs_per_sec`, from the device's retired-instruction counter)
-/// so interpreter throughput wins are distinguishable from event-loop
-/// wins. Wall clock and worker assignment are inherently
-/// non-deterministic and therefore live in their own file, never in
-/// `BENCH_RESULTS.json`.
-fn timing_json(
-    opts: &Options,
-    budget: JobBudget,
-    cells: &[sweep::CellSpec],
-    runs: &[CellRun],
-    wall_total: f64,
-) -> Json {
-    let mut per_fig: Vec<(FigId, f64, u64)> = Vec::new();
-    for (cell, run) in cells.iter().zip(runs) {
-        match per_fig.iter_mut().find(|(f, _, _)| *f == cell.fig) {
-            Some((_, acc, n)) => {
-                *acc += run.wall_s;
-                *n += 1;
-            }
-            None => per_fig.push((cell.fig, run.wall_s, 1)),
-        }
-    }
-    Json::Obj(vec![
-        ("schema_version".to_string(), Json::U64(3)),
-        (
-            "generator".to_string(),
-            Json::Str("m2ndp_bench figures --timing".to_string()),
-        ),
-        ("fast".to_string(), Json::Bool(opts.fast)),
-        ("jobs".to_string(), Json::U64(opts.jobs as u64)),
-        ("cell_jobs".to_string(), Json::U64(budget.cell_jobs as u64)),
-        (
-            "fleet_jobs".to_string(),
-            Json::U64(budget.fleet_jobs as u64),
-        ),
-        ("cells".to_string(), Json::U64(cells.len() as u64)),
-        ("wall_seconds".to_string(), Json::F64(wall_total)),
-        (
-            "cell_wall_seconds_sum".to_string(),
-            Json::F64(runs.iter().map(|r| r.wall_s).sum()),
-        ),
-        (
-            "figures".to_string(),
-            Json::Obj(
-                per_fig
-                    .into_iter()
-                    .map(|(fig, wall, n)| {
-                        (
-                            fig.id().to_string(),
-                            Json::Obj(vec![
-                                ("cells".to_string(), Json::U64(n)),
-                                ("wall_seconds".to_string(), Json::F64(wall)),
-                            ]),
-                        )
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "cell_timing".to_string(),
-            Json::Obj(
-                cells
-                    .iter()
-                    .zip(runs)
-                    .map(|(c, run)| {
-                        let mut fields = vec![
-                            ("wall_seconds".to_string(), Json::F64(run.wall_s)),
-                            ("worker".to_string(), Json::U64(run.worker as u64)),
-                        ];
-                        if let Some(instrs) =
-                            run.out.stats.as_ref().map(|s| s.instrs).filter(|&i| i > 0)
-                        {
-                            fields.push((
-                                "sim_instrs_per_sec".to_string(),
-                                Json::F64(instrs as f64 / run.wall_s.max(1e-9)),
-                            ));
-                        }
-                        (format!("{}/{}", c.fig.id(), c.key), Json::Obj(fields))
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
 }
 
 /// Compares every freshly computed cell against `snapshot` (a committed
@@ -352,30 +226,10 @@ fn snapshot_mismatches(
     mismatches
 }
 
-/// The revision recorded in `BENCH_TIMING.json` entries: `$M2NDP_GIT_REV`
-/// when set (CI passes the exact commit under test), else the working
-/// tree's `git rev-parse --short HEAD`, else `"unknown"`.
-fn git_rev() -> String {
-    if let Ok(rev) = std::env::var("M2NDP_GIT_REV") {
-        if !rev.is_empty() {
-            return rev;
-        }
-    }
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
 fn main() -> ExitCode {
     let opts = parse_args();
     if opts.list {
-        list_figures(&opts);
+        list_figures();
         return ExitCode::SUCCESS;
     }
 
@@ -405,57 +259,9 @@ fn main() -> ExitCode {
         );
     }
     let t0 = std::time::Instant::now();
-    let runs = sweep::run_cells_budget(&all_cells, budget, !opts.quiet);
-    let wall_total = t0.elapsed().as_secs_f64();
-    let outs: Vec<CellOut> = runs.iter().map(|r| r.out.clone()).collect();
+    let outs = sweep::run_cells_budget(&all_cells, budget, !opts.quiet);
     if !opts.quiet {
-        eprintln!("sweep finished in {wall_total:.1} s wall");
-    }
-
-    if let Some(path) = &opts.timing {
-        let json = timing_json(&opts, budget, &all_cells, &runs, wall_total);
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        if let Err(e) = std::fs::write(path, json.pretty() + "\n") {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::from(2);
-        }
-    }
-
-    let cell_timings = timing::cell_timings(&all_cells, &runs);
-    if let Some(path) = &opts.timing_append {
-        let entry = timing::entry_json(
-            &git_rev(),
-            opts.fast,
-            opts.jobs,
-            opts.fleet_jobs,
-            wall_total,
-            &cell_timings,
-        );
-        let history = match std::fs::read_to_string(path) {
-            Ok(text) => match Json::parse(&text) {
-                Ok(h) => match timing::append_entry(h, entry) {
-                    Ok(h) => h,
-                    Err(e) => {
-                        eprintln!("{path}: {e}");
-                        return ExitCode::from(2);
-                    }
-                },
-                Err(e) => {
-                    eprintln!("{path} is not valid JSON: {e}");
-                    return ExitCode::from(2);
-                }
-            },
-            Err(_) => timing::fresh_history(entry),
-        };
-        if let Err(e) = std::fs::write(path, history.pretty() + "\n") {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::from(2);
-        }
-        if !opts.quiet {
-            eprintln!("timing history updated: {path}");
-        }
+        eprintln!("sweep finished in {:.1} s wall", t0.elapsed().as_secs_f64());
     }
 
     let results: Vec<(FigId, Vec<CellOut>, Vec<Metric>)> = spans
@@ -564,50 +370,6 @@ fn main() -> ExitCode {
                  BENCH_RESULTS.json"
             );
             gate_failed = true;
-        }
-    }
-
-    if let Some(path) = &opts.timing_gate {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read timing history {path}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let history = match Json::parse(&text) {
-            Ok(h) => h,
-            Err(e) => {
-                eprintln!("timing history {path} is not valid JSON: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        match timing::gate(&history, &cell_timings) {
-            Ok(report) => {
-                println!(
-                    "\ntiming gate against {path}: {} cell(s) compared, {} skipped, \
-                     {} regression(s) (tolerance: >= {:.0}% of baseline speed)",
-                    report.compared,
-                    report.skipped,
-                    report.regressions.len(),
-                    timing::min_speed_frac(&history) * 100.0
-                );
-                if !report.regressions.is_empty() {
-                    for r in &report.regressions {
-                        println!("  SLOW {r}");
-                    }
-                    eprintln!(
-                        "wall-clock trajectory regressed; if the slowdown is intended, \
-                         record a new baseline with `figures --timing-append {path}` \
-                         and commit it"
-                    );
-                    gate_failed = true;
-                }
-            }
-            Err(e) => {
-                eprintln!("timing gate: {e}");
-                return ExitCode::from(2);
-            }
         }
     }
 

@@ -1,8 +1,10 @@
-//! The experiment harness: everything the per-figure bench targets share.
+//! The experiment harness: everything the `figures` CLI and the bench
+//! targets share.
 //!
-//! Each bench target in `benches/` regenerates one table or figure of the
-//! paper's evaluation (see the figure map in PAPER.md for the index), printing the same
-//! rows/series the paper reports. The harness here provides:
+//! The `figures` binary regenerates the simulated evaluation figures, and
+//! each bench target in `benches/` regenerates one analytic table or figure
+//! of the paper (see the figure map in PAPER.md for the index), printing the
+//! same rows/series the paper reports. The harness here provides:
 //!
 //! * [`table::Table`] — aligned console tables;
 //! * [`platforms`] — builders for the compared systems at a documented
@@ -13,16 +15,12 @@
 //!   device statistics;
 //! * [`sweep`] — the figure grids as independent cells, a thread-parallel
 //!   executor, derived paper-comparable metrics, and their serialization
-//!   (the `figures` CLI binary and the per-figure bench targets are both
-//!   thin fronts over it);
+//!   (the `figures` CLI binary is a thin front over it);
 //! * [`json`] — re-export of [`m2ndp::sim::json`], the dependency-free,
 //!   deterministic JSON value used for the emitted results (shared with the
 //!   `m2ndp-asm` and `m2ndp-trace` CLIs);
 //! * [`golden`] — paper-anchored tolerance bands and the regression gate
-//!   behind `figures --check`;
-//! * [`timing`] — the committed `BENCH_TIMING.json` perf-trajectory
-//!   history and the `figures --timing-gate` / `--timing-append`
-//!   regression check (the wall-clock analogue of `--snapshot`).
+//!   behind `figures --check`.
 
 #![warn(missing_docs)]
 
@@ -32,7 +30,6 @@ pub mod platforms;
 pub mod runner;
 pub mod sweep;
 pub mod table;
-pub mod timing;
 
 /// Geometric mean of a slice (0.0 for empty input).
 pub fn geomean(xs: &[f64]) -> f64 {

@@ -16,20 +16,18 @@
 //! Parallelism is a **nested budget** ([`JobBudget`]): `cell_jobs` workers
 //! run whole cells concurrently while `fleet_jobs` workers advance the
 //! devices *inside* each fleet/serving cell ([`Fleet::set_parallelism`]).
-//! `M2NDP_JOBS` / `M2NDP_FLEET_JOBS` set the defaults so the CLI, benches,
-//! examples, and tests share one knob; every combination emits
-//! byte-identical JSON — only wall-clock changes.
+//! `M2NDP_JOBS` / `M2NDP_FLEET_JOBS` set the CLI's defaults; every
+//! combination emits byte-identical JSON — only wall-clock changes.
 //!
-//! Both the per-figure bench targets (`benches/fig*.rs`) and the `figures`
-//! CLI binary are thin fronts over this module, so the row computation for
-//! a figure exists exactly once.
+//! The `figures` CLI binary is a thin front over this module, so the row
+//! computation for a figure exists exactly once.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use m2ndp::core::fleet::{Fleet, FleetConfig, SwitchNdp};
 use m2ndp::core::LaunchArgs;
 use m2ndp::core::{CxlM2ndpDevice, DeviceStats, M2ndpConfig, StatValue};
-use m2ndp::cxl::SwitchConfig;
+use m2ndp::cxl::{CxlSwitch, SwitchConfig};
 use m2ndp::host::cpu::{DataHome, HostCpu, HostCpuConfig};
 use m2ndp::host::nsu::NsuModel;
 use m2ndp::host::offload::{OffloadMechanism, OffloadModel, OffloadSim};
@@ -121,7 +119,7 @@ impl FigId {
         }
     }
 
-    /// Human title (matches the bench targets' table captions).
+    /// Human title, printed as the figure's table caption.
     pub fn title(self) -> &'static str {
         match self {
             FigId::Fig10a => "OLAP Evaluate phase (paper: avg 73.4x, up to 128x)",
@@ -727,16 +725,6 @@ impl JobBudget {
             fleet_jobs,
         }
     }
-
-    /// [`Self::split`] with environment defaults: `M2NDP_JOBS` overrides
-    /// the total budget and `M2NDP_FLEET_JOBS` the fleet share (default 1),
-    /// so benches, examples, and tests get the CLI's knobs without
-    /// plumbing flags.
-    pub fn from_env(total: usize) -> Self {
-        let total = par::env_jobs("M2NDP_JOBS").unwrap_or(total);
-        let fleet_jobs = par::env_jobs("M2NDP_FLEET_JOBS").unwrap_or(1);
-        Self::split(total, fleet_jobs)
-    }
 }
 
 /// Runs one cell to completion (building its own device), verifying
@@ -1238,25 +1226,11 @@ pub fn traced_cell_json(cell: &CellSpec, fleet_jobs: usize) -> Option<Json> {
     Some(report.chrome_trace())
 }
 
-/// One executed cell plus its execution metadata: wall-clock seconds and
-/// the pool worker that ran it — the raw material of the `--timing`
-/// artifact. Wall time and worker assignment are inherently
-/// non-deterministic and never enter the byte-stable result JSON.
-#[derive(Debug, Clone)]
-pub struct CellRun {
-    /// The cell's deterministic output.
-    pub out: CellOut,
-    /// Wall-clock seconds the cell took.
-    pub wall_s: f64,
-    /// Cell-level pool worker id (`0..cell_jobs`) that executed the cell.
-    pub worker: usize,
-}
-
 /// Executes `cells` under a [`JobBudget`] — `budget.cell_jobs` concurrent
 /// cells, `budget.fleet_jobs` device workers inside each fleet cell — and
 /// returns outputs **in cell order** (independent of completion order) via
-/// [`m2ndp::sim::par::map_ordered_with`]. Every budget produces identical
-/// [`CellOut`]s; only `wall_s`/`worker` vary.
+/// [`m2ndp::sim::par::map_ordered`]. Every budget produces identical
+/// [`CellOut`]s.
 ///
 /// `verbose` prints per-cell progress (with wall time) to stderr; stdout
 /// and the emitted JSON stay byte-stable.
@@ -1264,12 +1238,11 @@ pub struct CellRun {
 /// # Panics
 /// Propagates a panic from any cell (e.g. a workload verification
 /// failure); the pool drains without deadlocking first.
-pub fn run_cells_budget(cells: &[CellSpec], budget: JobBudget, verbose: bool) -> Vec<CellRun> {
+pub fn run_cells_budget(cells: &[CellSpec], budget: JobBudget, verbose: bool) -> Vec<CellOut> {
     let done = AtomicUsize::new(0);
-    par::map_ordered_with(cells, budget.cell_jobs, |worker, cell| {
+    par::map_ordered(cells, budget.cell_jobs, |cell| {
         let t0 = std::time::Instant::now();
         let out = run_cell_with(cell, budget.fleet_jobs);
-        let wall_s = t0.elapsed().as_secs_f64();
         if verbose {
             let n = done.fetch_add(1, Ordering::Relaxed) + 1;
             eprintln!(
@@ -1278,14 +1251,10 @@ pub fn run_cells_budget(cells: &[CellSpec], budget: JobBudget, verbose: bool) ->
                 cell.fig.id(),
                 cell.key,
                 out.ns / 1e3,
-                wall_s * 1e3
+                t0.elapsed().as_secs_f64() * 1e3
             );
         }
-        CellRun {
-            out,
-            wall_s,
-            worker,
-        }
+        out
     })
 }
 
@@ -1297,38 +1266,8 @@ pub fn run_cells_budget(cells: &[CellSpec], budget: JobBudget, verbose: bool) ->
 /// # Panics
 /// Propagates a panic from any cell (e.g. a workload verification failure).
 pub fn run_cells(cells: &[CellSpec], jobs: usize, verbose: bool) -> Vec<CellOut> {
-    run_cells_timed(cells, jobs, verbose).0
-}
-
-/// [`run_cells`], additionally returning each cell's wall-clock time in
-/// seconds (same order as the outputs). The wall times feed the `--timing`
-/// perf-trajectory artifact and are inherently non-deterministic — they
-/// never enter the byte-stable result JSON.
-pub fn run_cells_timed(cells: &[CellSpec], jobs: usize, verbose: bool) -> (Vec<CellOut>, Vec<f64>) {
     let fleet_jobs = par::env_jobs("M2NDP_FLEET_JOBS").unwrap_or(1);
     run_cells_budget(cells, JobBudget::split(jobs.max(1), fleet_jobs), verbose)
-        .into_iter()
-        .map(|run| (run.out, run.wall_s))
-        .unzip()
-}
-
-/// Runs one figure end to end: grid → (parallel) execution → derived
-/// metrics. The budget resolves through [`JobBudget::from_env`], so
-/// `M2NDP_JOBS`/`M2NDP_FLEET_JOBS` reach the fig benches and examples
-/// without new flags.
-pub fn run_figure(
-    fig: FigId,
-    fast: bool,
-    jobs: usize,
-    verbose: bool,
-) -> (Vec<CellOut>, Vec<Metric>) {
-    let specs = cells(fig, fast);
-    let outs: Vec<CellOut> = run_cells_budget(&specs, JobBudget::from_env(jobs), verbose)
-        .into_iter()
-        .map(|run| run.out)
-        .collect();
-    let metrics = derive(fig, &outs);
-    (outs, metrics)
 }
 
 // ---------------------------------------------------------------------------
@@ -1522,17 +1461,16 @@ pub fn derive(fig: FigId, outs: &[CellOut]) -> Vec<Metric> {
                     let Some(o) = find(outs, &format!("{wl}/{n}dev")) else {
                         continue;
                     };
-                    // DLRM: disjoint outputs, negligible combine; OPT:
-                    // hidden-sized all-reduce per layer.
-                    let run = m2ndp::core::multi::MultiDeviceRun {
-                        per_device_cycles: vec![o.cycles; n as usize],
-                        allreduce_bytes_per_device: if n > 1 { allreduce_bytes } else { 0 },
-                        switch: m2ndp::cxl::SwitchConfig::default(),
-                        clock: Frequency::ghz(2.0),
-                    };
+                    // Each device runs its 1/N partition (`o.cycles`), then
+                    // the devices combine through a ring all-reduce over
+                    // the switch (free for one device). DLRM: disjoint
+                    // outputs, negligible combine; OPT: hidden-sized
+                    // all-reduce per layer.
+                    let allreduce = CxlSwitch::new(SwitchConfig::default(), Frequency::ghz(2.0))
+                        .ring_allreduce(0, n as usize, allreduce_bytes);
                     m.push((
                         format!("speedup/{wl}/{n}dev"),
-                        run.speedup_over(single.cycles),
+                        single.cycles as f64 / (o.cycles + allreduce) as f64,
                     ));
                 }
             }
@@ -2271,7 +2209,12 @@ mod tests {
             mk("DLRM(SLS)-B256/8dev", 1000),
         ];
         let metrics = derive(FigId::Fig12b, &outs);
-        assert!(metric(&metrics, "speedup/DLRM(SLS)-B256/8dev").expect("present") > 1.0);
+        let speedup = metric(&metrics, "speedup/DLRM(SLS)-B256/8dev").expect("present");
+        assert!(speedup > 1.0);
+        // Single-device cycles over one partition plus the switch all-reduce.
+        let allreduce =
+            CxlSwitch::new(SwitchConfig::default(), Frequency::ghz(2.0)).ring_allreduce(0, 8, 4096);
+        assert_eq!(speedup, 8000.0 / (1000 + allreduce) as f64);
         assert!(metric(&metrics, "speedup/OPT-30B(Gen)/8dev").is_none());
     }
 }

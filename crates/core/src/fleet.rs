@@ -2,10 +2,9 @@
 //! behind a [`CxlSwitch`] (§III-I), plus the M²NDP-in-switch configuration
 //! over passive third-party memories (§III-J).
 //!
-//! Where [`crate::multi`] costs a multi-device run analytically, this module
-//! *simulates* it: every shard runs on its own cycle-level device, M²func
-//! offloads are routed to the owning device through the [`HdmRouter`] at
-//! 2 MB page granularity and charged against the switch's per-port
+//! Every shard runs on its own cycle-level device, M²func offloads are
+//! routed to the owning device through the [`HdmRouter`] at 2 MB page
+//! granularity and charged against the switch's per-port
 //! [`m2ndp_sim::BandwidthGate`]s, and the tensor-parallel all-reduce crosses
 //! the switch as actual P2P traffic ([`CxlSwitch::ring_allreduce`]).
 //!

@@ -22,13 +22,11 @@
 //! * [`tlb`] — on-chip TLBs backed by the in-memory DRAM-TLB (§III-H);
 //! * [`kernel`] — NDP kernel specifications and the registration-time
 //!   resource accounting (Table II arguments);
-//! * [`multi`] — analytic cost model for scaling across multiple
-//!   CXL-M²NDP devices through a CXL switch (§III-I) and the NDP-in-switch
-//!   configuration (§III-J);
-//! * [`fleet`] — the *simulated* counterpart of [`multi`]: N real device
-//!   simulators behind a switch, offloads routed through the HDM page
-//!   router, the all-reduce as actual P2P switch traffic, and the
-//!   NDP-in-switch variant over passive memories.
+//! * [`fleet`] — scaling across multiple CXL-M²NDP devices through a CXL
+//!   switch (§III-I): N real device simulators behind a switch, offloads
+//!   routed through the HDM page router, the all-reduce as actual P2P
+//!   switch traffic, and the NDP-in-switch variant over passive memories
+//!   (§III-J).
 
 #![warn(missing_docs)]
 
@@ -38,7 +36,6 @@ pub mod engine;
 pub mod fleet;
 pub mod kernel;
 pub mod m2func;
-pub mod multi;
 pub mod tlb;
 
 pub use config::{EngineConfig, M2ndpConfig};

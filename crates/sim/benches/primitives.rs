@@ -5,8 +5,9 @@
 //! and deep-queue DRAM pairs show the large (>1.5x) structural wins; the
 //! cache and `FEventQueue` pairs sit closer to parity in isolation — those
 //! refactors are motivated by allocation-free steady state and determinism,
-//! and their end-to-end effect is pinned by the perf-trajectory gate (see
-//! BENCH_TIMING.json and `figures --timing-gate`) rather than this file.
+//! and their end-to-end effect is measured by the repository benchmark
+//! (`perfbench/`, whose workloads exercise these structures) rather than
+//! this file.
 //!
 //! Covered, per the hot-path inventory in ARCHITECTURE.md:
 //!

@@ -121,11 +121,13 @@ impl Json {
     /// after it).
     ///
     /// # Errors
-    /// Returns a byte offset + message on malformed input.
+    /// Returns a byte offset + message on malformed input, including arrays
+    /// and objects nested more than 128 levels deep.
     pub fn parse(text: &str) -> Result<Json, ParseError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -200,9 +202,17 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so the bound keeps hostile input (e.g. 100 000
+/// `[`) a [`ParseError`] instead of a stack overflow; the documents the
+/// workspace writes nest fewer than 10 levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -242,8 +252,19 @@ impl<'a> Parser<'a> {
             Some(b't') => self.eat("true").map(|()| Json::Bool(true)),
             Some(b'f') => self.eat("false").map(|()| Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("arrays/objects nested too deeply"));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
@@ -609,6 +630,23 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\" 1}", "tru", "1 2", "\"unterminated"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let err = Json::parse(&"[".repeat(100_000)).expect_err("too deep");
+        assert_eq!(err.offset, MAX_DEPTH);
+        let too_deep = "[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&too_deep).is_err());
+
+        let mut doc = Json::U64(7);
+        for _ in 0..100 {
+            doc = Json::Arr(vec![doc]);
+        }
+        let text = doc.pretty();
+        assert_eq!(Json::parse(&text).expect("100 levels parse"), doc);
+        let at_limit = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(Json::parse(&at_limit).is_ok());
     }
 
     #[test]

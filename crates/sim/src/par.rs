@@ -125,22 +125,6 @@ where
     run_indexed(items.len(), jobs, |_, i| f(&items[i]))
 }
 
-/// [`map_ordered`], additionally passing each call the id (`0..jobs`) of
-/// the worker that executed it — the hook the sweep's `--timing` artifact
-/// uses to make its parallelism auditable. Worker *assignment* is
-/// scheduling-dependent; the returned values must not be.
-///
-/// # Panics
-/// Propagates the first item panic once the pool has drained.
-pub fn map_ordered_with<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    run_indexed(items.len(), jobs, |worker, i| f(worker, &items[i]))
-}
-
 /// Mutable fan-out: runs `f` once on every item with exclusive access,
 /// returning the results in input order. Each item is handed to exactly
 /// one worker (the fleet uses this to advance N device simulators
@@ -188,13 +172,6 @@ mod tests {
         });
         assert_eq!(out, vec![1; 100]);
         assert_eq!(items, vec![1; 100]);
-    }
-
-    #[test]
-    fn worker_ids_stay_inside_the_pool() {
-        let items = vec![(); 40];
-        let workers = map_ordered_with(&items, 4, |worker, ()| worker);
-        assert!(workers.into_iter().all(|w| w < 4));
     }
 
     #[test]

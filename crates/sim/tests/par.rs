@@ -4,7 +4,7 @@
 //! panic contract — a panicking item propagates instead of deadlocking the
 //! pool.
 
-use m2ndp_sim::par::{map_ordered, map_ordered_mut, map_ordered_with};
+use m2ndp_sim::par::{map_ordered, map_ordered_mut};
 use m2ndp_sim::rng::{exponential, seeded};
 use proptest::prelude::*;
 
@@ -122,9 +122,6 @@ fn pool_is_reusable_after_a_panic() {
             x
         })
     }));
-    let out = map_ordered_with(&items, 4, |worker, &x| {
-        assert!(worker < 4);
-        x * 2
-    });
+    let out = map_ordered(&items, 4, |&x| x * 2);
     assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
 }
