@@ -21,6 +21,7 @@ use m2ndp::host::serve::{
     self, AutoscaleConfig, KvServeWorkload, ReplicatedKvServeWorkload, SchedulerKind, ServeBackend,
     ServeConfig, TenantSpec,
 };
+use m2ndp::sim::fingerprint::Fingerprint;
 use m2ndp::sim::trace::{EventKind, ScaleDir};
 
 fn device_cfg() -> M2ndpConfig {
@@ -152,6 +153,81 @@ fn every_scheduler_kind_is_bit_identical_across_fleet_parallelism() {
                 kind.name()
             );
         }
+    }
+}
+
+/// Folds a [`fingerprint`] into one `u64`, so a run can be pinned to a
+/// committed constant.
+#[allow(clippy::type_complexity)]
+fn digest(
+    fp: &(
+        Vec<(u16, u64, usize, u64, u64)>,
+        u64,
+        u64,
+        u64,
+        Vec<u32>,
+        Vec<(u64, usize, ScaleDir, usize)>,
+    ),
+) -> u64 {
+    let (records, p95, throughput, launches, max_outstanding, scale) = fp;
+    let mut h = Fingerprint::new();
+    h.mix(records.len() as u64);
+    for &(tenant, seq, device, latency, service) in records {
+        for w in [u64::from(tenant), seq, device as u64, latency, service] {
+            h.mix(w);
+        }
+    }
+    for w in [*p95, *throughput, *launches] {
+        h.mix(w);
+    }
+    h.mix(max_outstanding.len() as u64);
+    for &m in max_outstanding {
+        h.mix(u64::from(m));
+    }
+    h.mix(scale.len() as u64);
+    for &(t, device, dir, active) in scale {
+        for w in [t, device as u64, dir as u64, active as u64] {
+            h.mix(w);
+        }
+    }
+    h.value()
+}
+
+/// The load-aware kinds are otherwise only compared with themselves
+/// (across fleet parallelism), so a change that moves their placement
+/// would pass every other gate. These digests pin their exact outputs:
+/// shortest-queue, priority-slo, and an autoscaled shortest-queue run.
+/// With this tenant mix (equal priorities and SLOs, 48 slots per device)
+/// priority-slo admits in FIFO order and never steals, so its digest
+/// equals shortest-queue's.
+#[test]
+fn dynamic_scheduler_outputs_match_golden_digests() {
+    let cases = [
+        (
+            "shortest-queue",
+            SchedulerKind::ShortestQueue,
+            None,
+            0x6f77_e5fd_9882_e9cc_u64,
+        ),
+        (
+            "priority-slo",
+            SchedulerKind::PrioritySlo,
+            None,
+            0x6f77_e5fd_9882_e9cc,
+        ),
+        (
+            "shortest-queue+autoscale",
+            SchedulerKind::ShortestQueue,
+            Some(autoscale_cfg()),
+            0x3915_b317_cfc2_40a8,
+        ),
+    ];
+    for (name, kind, autoscale, golden) in cases {
+        let got = digest(&fingerprint(run_kind(kind, 1, autoscale, false)));
+        assert_eq!(
+            got, golden,
+            "{name}: digest {got:#018x} != golden {golden:#018x}"
+        );
     }
 }
 
