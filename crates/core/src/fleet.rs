@@ -78,11 +78,10 @@ impl FleetConfig {
 /// Where a device sits in the elastic add/drain lifecycle.
 ///
 /// The fleet is built at its maximum size; elasticity is a *policy* layer
-/// (the serving runtime's autoscaler) flipping these states. The fleet
-/// itself only records them — launch APIs stay mechanical, so tests can
-/// still drive a draining device directly — and the admission policy
-/// (never route new work to a non-[`DeviceLifecycle::Active`] device) is
-/// enforced by the scheduler reading a [`FleetView`].
+/// (the serving runtime's autoscaler) that tracks these states itself and
+/// hands them to schedulers in a [`FleetView`]. The fleet's launch APIs
+/// stay mechanical: the admission policy (never route new work to a
+/// non-[`DeviceLifecycle::Active`] device) lives with the caller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeviceLifecycle {
     /// Accepting new work.
@@ -130,29 +129,6 @@ pub struct FleetView {
 }
 
 impl FleetView {
-    /// Number of devices (active or not).
-    pub fn len(&self) -> usize {
-        self.devices.len()
-    }
-
-    /// Whether the view is empty (never true for a built fleet).
-    pub fn is_empty(&self) -> bool {
-        self.devices.is_empty()
-    }
-
-    /// Whether device `i` may be routed new work.
-    pub fn is_admissible(&self, i: usize) -> bool {
-        self.devices[i].lifecycle == DeviceLifecycle::Active
-    }
-
-    /// Number of devices currently accepting work.
-    pub fn active_count(&self) -> usize {
-        self.devices
-            .iter()
-            .filter(|d| d.lifecycle == DeviceLifecycle::Active)
-            .count()
-    }
-
     /// The active device with the least pending work (ties break toward
     /// the lowest index, keeping the choice deterministic). `None` only if
     /// no device is active.
@@ -206,9 +182,6 @@ pub struct Fleet {
     /// Fleet cycle at which each device last became free (advanced by
     /// [`Self::launch_routed_and_run`] and [`Self::run_launched`]).
     device_done: Vec<Cycle>,
-    /// Elastic lifecycle state per device (all [`DeviceLifecycle::Active`]
-    /// at construction).
-    lifecycle: Vec<DeviceLifecycle>,
     /// Worker threads the shard-parallel run paths may use (1 = serial).
     parallelism: usize,
 }
@@ -238,54 +211,7 @@ impl Fleet {
             offload_arrival: vec![0; cfg.devices],
             last_instance: vec![None; cfg.devices],
             device_done: vec![0; cfg.devices],
-            lifecycle: vec![DeviceLifecycle::Active; cfg.devices],
             parallelism: par::env_jobs("M2NDP_FLEET_JOBS").unwrap_or(1),
-        }
-    }
-
-    /// Device `i`'s elastic lifecycle state.
-    pub fn lifecycle(&self, i: usize) -> DeviceLifecycle {
-        self.lifecycle[i]
-    }
-
-    /// Sets device `i`'s lifecycle state. Mechanical: the fleet records the
-    /// state and [`Self::view`] reports it; the *policy* (stop admitting on
-    /// drain, only drain an idle device to `Drained`) lives with the caller
-    /// — the serving runtime's scheduler/autoscaler.
-    pub fn set_lifecycle(&mut self, i: usize, state: DeviceLifecycle) {
-        self.lifecycle[i] = state;
-    }
-
-    /// Number of devices currently [`DeviceLifecycle::Active`].
-    pub fn active_devices(&self) -> usize {
-        self.lifecycle
-            .iter()
-            .filter(|&&l| l == DeviceLifecycle::Active)
-            .count()
-    }
-
-    /// A policy-facing snapshot of the fleet. The fleet only knows each
-    /// device's lifecycle; the caller supplies the per-device admission
-    /// state it tracks (`queue_len`, `outstanding`, `free_slots` per
-    /// device, in index order).
-    ///
-    /// # Panics
-    /// Panics when `admission` does not have one entry per device.
-    pub fn view(&self, admission: &[(usize, u32, u32)]) -> FleetView {
-        assert_eq!(admission.len(), self.devices.len());
-        FleetView {
-            devices: admission
-                .iter()
-                .zip(&self.lifecycle)
-                .map(
-                    |(&(queue_len, outstanding, free_slots), &lifecycle)| DeviceView {
-                        queue_len,
-                        outstanding,
-                        free_slots,
-                        lifecycle,
-                    },
-                )
-                .collect(),
         }
     }
 
@@ -352,11 +278,19 @@ impl Fleet {
             .collect()
     }
 
+    /// The device owning fleet-global address `pool_base`.
+    fn route(&self, pool_base: u64) -> Result<usize, NdpApiError> {
+        self.router
+            .local_offset(pool_base)
+            .map(|(dev, _offset)| dev)
+            .ok_or(NdpApiError::BadArguments)
+    }
+
     /// Routes one M²func kernel offload: the fleet-global `pool_base`
     /// selects the owning device through the 2 MB-page [`HdmRouter`], the
     /// launch store crosses the switch (host port → device port, charged
     /// against both bandwidth gates plus traversal latency), and
-    /// device-local `args` launch there.
+    /// device-local `args` launch there ([`FleetShard::launch`]).
     ///
     /// Returns the owning device index and the instance id.
     ///
@@ -369,35 +303,9 @@ impl Fleet {
         pool_base: u64,
         args: LaunchArgs,
     ) -> Result<(usize, KernelInstanceId), NdpApiError> {
-        let Some((dev, _offset)) = self.router.local_offset(pool_base) else {
-            return Err(NdpApiError::BadArguments);
-        };
-        let arrival = self
-            .switch
-            .host_to_device_unordered(issue, dev, M2FUNC_OFFLOAD_BYTES);
-        self.offload_arrival[dev] = self.offload_arrival[dev].max(arrival);
-        self.trace_hop(dev, issue, arrival);
-        let inst = self.devices[dev].launch(args)?;
-        self.last_instance[dev] = Some(inst);
+        let dev = self.route(pool_base)?;
+        let (inst, _arrival) = self.lend_shards(|shards| shards[dev].launch(issue, args))?;
         Ok((dev, inst))
-    }
-
-    /// Emits a switch-hop trace event on device `dev`'s sink (no-op when
-    /// that device isn't tracing).
-    fn trace_hop(&mut self, dev: usize, issue: Cycle, arrival: Cycle) {
-        let clock = self.clock;
-        let device = &mut self.devices[dev];
-        let id = device.trace_device();
-        device.tracer_mut().emit(|| TraceEvent {
-            ts_ns: clock.ns_from_cycles(issue),
-            device: id,
-            lane: Lane::SwitchPort(dev as u16),
-            kind: EventKind::SwitchHop {
-                dst: dev as u16,
-                bytes: M2FUNC_OFFLOAD_BYTES,
-                dur_ns: clock.ns_from_cycles(arrival.saturating_sub(issue)),
-            },
-        });
     }
 
     /// The page-aligned fleet-global base address of device `i`'s HDM span
@@ -407,16 +315,16 @@ impl Fleet {
     }
 
     /// Routes one launch like [`Self::launch_routed`], but through the full
-    /// M²func wire protocol: the launch arguments are encoded into the
-    /// CXL.mem write payload ([`crate::m2func::encode_launch`]), the store
-    /// crosses the switch to the owning device, and the device's NDP
-    /// controller decodes and dispatches the call
-    /// ([`CxlM2ndpDevice::handle_m2func_call`]), leaving the instance id at
-    /// the caller's M²func region offset as a real host would read it back.
+    /// M²func wire protocol ([`FleetShard::m2func_launch`]): the launch
+    /// arguments are encoded into the CXL.mem write payload
+    /// ([`crate::m2func::encode_launch`]), the store crosses the switch to
+    /// the owning device, and the device's NDP controller decodes and
+    /// dispatches the call ([`CxlM2ndpDevice::handle_m2func_call`]),
+    /// leaving the instance id at the caller's M²func region offset as a
+    /// real host would read it back.
     ///
     /// Returns the owning device, the instance id, and the fleet cycle the
-    /// launch store arrived at the device port (what open-loop serving
-    /// charges as switch-induced launch skew).
+    /// launch store arrived at the device port.
     ///
     /// # Errors
     /// [`NdpApiError::BadArguments`] when `pool_base` routes to no device;
@@ -428,69 +336,10 @@ impl Fleet {
         pool_base: u64,
         args: LaunchArgs,
     ) -> Result<(usize, KernelInstanceId, Cycle), NdpApiError> {
-        let Some((dev, _offset)) = self.router.local_offset(pool_base) else {
-            return Err(NdpApiError::BadArguments);
-        };
-        let arrival = self
-            .switch
-            .host_to_device_unordered(issue, dev, M2FUNC_OFFLOAD_BYTES);
-        self.offload_arrival[dev] = self.offload_arrival[dev].max(arrival);
-        self.trace_hop(dev, issue, arrival);
-        let inst = self.devices[dev].m2func_launch(asid, args)?;
-        self.last_instance[dev] = Some(inst);
+        let dev = self.route(pool_base)?;
+        let (inst, arrival) =
+            self.lend_shards(|shards| shards[dev].m2func_launch(issue, asid, args))?;
         Ok((dev, inst, arrival))
-    }
-
-    /// Launches on an *explicitly chosen* device — the entry point for
-    /// pluggable serving schedulers, which decide placement themselves
-    /// instead of delegating to the [`HdmRouter`]. The launch store is
-    /// charged through the switch exactly like [`Self::launch_routed`]
-    /// (host port → device port, both bandwidth gates plus traversal
-    /// latency), so scheduler-routed and HDM-routed launches cost the same
-    /// fabric.
-    ///
-    /// Returns the instance id and the fleet cycle the store arrived at
-    /// the device port.
-    ///
-    /// # Errors
-    /// Whatever the device's launch returns.
-    pub fn launch_on(
-        &mut self,
-        issue: Cycle,
-        dev: usize,
-        args: LaunchArgs,
-    ) -> Result<(KernelInstanceId, Cycle), NdpApiError> {
-        let arrival = self
-            .switch
-            .host_to_device_unordered(issue, dev, M2FUNC_OFFLOAD_BYTES);
-        self.offload_arrival[dev] = self.offload_arrival[dev].max(arrival);
-        self.trace_hop(dev, issue, arrival);
-        let inst = self.devices[dev].launch(args)?;
-        self.last_instance[dev] = Some(inst);
-        Ok((inst, arrival))
-    }
-
-    /// [`Self::launch_on`] through the full M²func wire protocol (encode →
-    /// switch → controller decode, like [`Self::m2func_launch_routed`] with
-    /// the placement decision supplied by the caller).
-    ///
-    /// # Errors
-    /// Whatever error the device's controller returned.
-    pub fn m2func_launch_on(
-        &mut self,
-        issue: Cycle,
-        dev: usize,
-        asid: u16,
-        args: LaunchArgs,
-    ) -> Result<(KernelInstanceId, Cycle), NdpApiError> {
-        let arrival = self
-            .switch
-            .host_to_device_unordered(issue, dev, M2FUNC_OFFLOAD_BYTES);
-        self.offload_arrival[dev] = self.offload_arrival[dev].max(arrival);
-        self.trace_hop(dev, issue, arrival);
-        let inst = self.devices[dev].m2func_launch(asid, args)?;
-        self.last_instance[dev] = Some(inst);
-        Ok((inst, arrival))
     }
 
     /// Runs every device until its most recently launched instance
@@ -515,19 +364,27 @@ impl Fleet {
     }
 
     /// The shard-parallel execution core: splits the fleet into
-    /// per-device [`FleetShard`]s (device simulator + switch-port lane +
-    /// per-device bookkeeping — no shared mutable state) and runs `f` once
-    /// per shard on up to `jobs` pool workers
+    /// per-device [`FleetShard`]s (see [`Self::lend_shards`]) and runs `f`
+    /// once per shard on up to `jobs` pool workers
     /// ([`m2ndp_sim::par::map_ordered_mut`]). Results return in device
-    /// index order regardless of completion order, and shard-local switch
-    /// transfer counts are folded back into the shared counters afterwards
-    /// (addition commutes), so any `jobs` value is bit-identical to serial
-    /// execution.
+    /// index order regardless of completion order, so any `jobs` value is
+    /// bit-identical to serial execution.
     pub fn with_shards<R: Send>(
         &mut self,
         jobs: usize,
         f: impl Fn(&mut FleetShard<'_>) -> R + Sync,
     ) -> Vec<R> {
+        self.lend_shards(|shards| par::map_ordered_mut(shards, jobs, |_, shard| f(shard)))
+    }
+
+    /// Lends every device at once, on the calling thread, as per-device
+    /// [`FleetShard`]s (device simulator + switch-port lane + per-device
+    /// bookkeeping — no shared mutable state), in device index order. Every
+    /// launch goes through a shard; callers that must interleave devices
+    /// (a global serving schedule) drive the whole slice, the others take
+    /// one shard. Shard-local switch transfer counts are folded back into
+    /// the shared counters afterwards (addition commutes).
+    pub fn lend_shards<R>(&mut self, f: impl FnOnce(&mut [FleetShard<'_>]) -> R) -> R {
         let clock = self.clock;
         let lanes = self.switch.host_lanes();
         let mut shards: Vec<FleetShard<'_>> = self
@@ -552,7 +409,7 @@ impl Fleet {
                 },
             )
             .collect();
-        let out = par::map_ordered_mut(&mut shards, jobs, |_, shard| f(shard));
+        let out = f(&mut shards);
         let transfers: u64 = shards.iter().map(|s| s.lane.transfers()).sum();
         drop(shards);
         self.switch.absorb_host_transfers(transfers);
@@ -585,10 +442,7 @@ impl Fleet {
         let mut per_device: Vec<Vec<LaunchArgs>> =
             (0..self.devices.len()).map(|_| Vec::new()).collect();
         for (pool_base, launches) in seqs {
-            let Some((dev, _offset)) = self.router.local_offset(pool_base) else {
-                return Err(NdpApiError::BadArguments);
-            };
-            per_device[dev].extend(launches);
+            per_device[self.route(pool_base)?].extend(launches);
         }
         let jobs = self.parallelism;
         self.with_shards(jobs, |shard| {
@@ -619,18 +473,9 @@ impl Fleet {
         pool_base: u64,
         args: LaunchArgs,
     ) -> Result<(usize, Cycle), NdpApiError> {
-        let Some((dev, _offset)) = self.router.local_offset(pool_base) else {
-            return Err(NdpApiError::BadArguments);
-        };
-        let issue = self.device_done[dev];
-        let arrival = self
-            .switch
-            .host_to_device_unordered(issue, dev, M2FUNC_OFFLOAD_BYTES);
-        let inst = self.devices[dev].launch(args)?;
-        let start = self.devices[dev].now();
-        let kernel = self.devices[dev].run_until_finished(inst) - start;
-        self.device_done[dev] = arrival + kernel;
-        Ok((dev, self.device_done[dev]))
+        let dev = self.route(pool_base)?;
+        let done = self.lend_shards(|shards| shards[dev].launch_and_run(args))?;
+        Ok((dev, done))
     }
 
     /// The fleet cycle at which the slowest device became free (the
@@ -752,9 +597,8 @@ impl FleetShard<'_> {
         *self.device_done
     }
 
-    /// Charges one M²func launch store on this device's lane and advances
-    /// the latest-arrival watermark (the [`Fleet::launch_routed`]
-    /// bookkeeping, scoped to this shard).
+    /// Charges one M²func launch store on this device's lane, advances the
+    /// latest-arrival watermark and returns this store's arrival cycle.
     fn charge_offload(&mut self, issue: Cycle) -> Cycle {
         let arrival = self
             .lane
@@ -771,13 +615,13 @@ impl FleetShard<'_> {
                 dur_ns: clock.ns_from_cycles(arrival.saturating_sub(issue)),
             },
         });
-        *self.offload_arrival
+        arrival
     }
 
-    /// [`Fleet::launch_routed`] for this shard (routing already decided):
-    /// charges the launch store on the lane and launches at the device
-    /// controller. Returns the instance and the device's latest offload
-    /// arrival cycle.
+    /// Launches on this shard's device (routing already decided): charges
+    /// the launch store on the lane and launches at the device controller.
+    /// Returns the instance and the fleet cycle this launch's store arrived
+    /// at the device port.
     ///
     /// # Errors
     /// Whatever the device's launch returns (the store stays charged, as
@@ -793,9 +637,10 @@ impl FleetShard<'_> {
         Ok((inst, arrival))
     }
 
-    /// [`Fleet::m2func_launch_routed`] for this shard: the launch store is
-    /// charged on the lane and the call goes through the full M²func wire
-    /// protocol at the device's NDP controller.
+    /// [`Self::launch`] through the full M²func wire protocol: the launch
+    /// store is charged on the lane and the call is decoded and dispatched
+    /// by the device's NDP controller. Returns the instance and this
+    /// store's arrival cycle.
     ///
     /// # Errors
     /// Whatever the device's controller returns.
@@ -811,9 +656,9 @@ impl FleetShard<'_> {
         Ok((inst, arrival))
     }
 
-    /// [`Fleet::launch_routed_and_run`] for this shard: the offload issues
-    /// when the device finished its previous work, the store crosses the
-    /// lane, and the kernel runs to completion.
+    /// Launches and runs to completion on this shard's device: the offload
+    /// issues when the device finished its previous work, the store crosses
+    /// the lane, and the kernel runs. Returns the device's new free cycle.
     ///
     /// # Errors
     /// Whatever the device's launch returns.

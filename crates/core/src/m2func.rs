@@ -213,7 +213,9 @@ pub fn encode_launch(args: &LaunchArgs) -> Vec<u64> {
 /// Decodes launch-call words (the controller half of [`encode_launch`]).
 ///
 /// # Errors
-/// Returns [`NdpApiError::BadArguments`] on truncated payloads.
+/// Returns [`NdpApiError::BadArguments`] on truncated payloads, an empty
+/// pool region, zero iterations, or a kernel id or iteration count that
+/// does not fit the 32-bit field it names.
 pub fn decode_launch(words: &[u64]) -> Result<LaunchArgs, NdpApiError> {
     if words.len() < 6 {
         return Err(NdpApiError::BadArguments);
@@ -226,7 +228,9 @@ pub fn decode_launch(words: &[u64]) -> Result<LaunchArgs, NdpApiError> {
     if words[3] <= words[2] {
         return Err(NdpApiError::BadArguments);
     }
-    if words[4] == 0 {
+    let kernel_id = u32::try_from(words[1]).map_err(|_| NdpApiError::BadArguments)?;
+    let body_iterations = u32::try_from(words[4]).map_err(|_| NdpApiError::BadArguments)?;
+    if body_iterations == 0 {
         return Err(NdpApiError::BadArguments);
     }
     Ok(LaunchArgs {
@@ -235,10 +239,10 @@ pub fn decode_launch(words: &[u64]) -> Result<LaunchArgs, NdpApiError> {
         } else {
             Synchronicity::Async
         },
-        kernel_id: KernelId(words[1] as u32),
+        kernel_id: KernelId(kernel_id),
         pool_base: words[2],
         pool_bound: words[3],
-        body_iterations: words[4] as u32,
+        body_iterations,
         args: words[6..6 + arg_words].to_vec(),
     })
 }
@@ -314,6 +318,32 @@ mod tests {
             decode_launch(&[0, 1, 0xB000, 0xA000, 1, 0]),
             Err(NdpApiError::BadArguments)
         );
+    }
+
+    #[test]
+    fn out_of_range_launch_words_rejected() {
+        // Kernel 2^32 + 1 must not alias kernel 1.
+        assert_eq!(
+            decode_launch(&[0, (1 << 32) + 1, 0xA000, 0xB000, 1, 0]),
+            Err(NdpApiError::BadArguments)
+        );
+        // 2^32 iterations must not truncate to a 0-iteration launch.
+        assert_eq!(
+            decode_launch(&[0, 1, 0xA000, 0xB000, 1 << 32, 0]),
+            Err(NdpApiError::BadArguments)
+        );
+        // The largest in-range values still decode.
+        let args = decode_launch(&[
+            0,
+            u64::from(u32::MAX),
+            0xA000,
+            0xB000,
+            u64::from(u32::MAX),
+            0,
+        ])
+        .unwrap();
+        assert_eq!(args.kernel_id, KernelId(u32::MAX));
+        assert_eq!(args.body_iterations, u32::MAX);
     }
 
     #[test]

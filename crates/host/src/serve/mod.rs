@@ -45,34 +45,39 @@
 //! themselves deterministic, so a serving run is reproducible
 //! bit-for-bit at any sweep parallelism.
 //!
-//! **Shard-parallel execution.** With a placement-pure scheduler and a
-//! fixed fleet, a request's life touches exactly one device: routing is a
-//! pure function of its key, admission queues and kernel slots are
-//! per-device, and the switch charges launch stores on per-port gates.
-//! The runtime therefore decomposes into one independent event loop per
-//! device — generated and routed serially up front, then advanced
-//! concurrently on the fleet's shard pool ([`Fleet::with_shards`], worker
-//! count = [`Fleet::parallelism`], knob: `M2NDP_FLEET_JOBS`) and merged
-//! back in global arrival order. Per-device event streams, tie-breaking,
-//! and simulator state are identical to the historical single-threaded
-//! loop, so reports are bit-identical at every parallelism setting.
-//! Dynamic schedulers and autoscaled runs instead use a single global
-//! event loop, which those knobs never touch — equally deterministic.
+//! **One loop, two schedules.** Routing, admission, launch, functional
+//! verification and recording are written once, as one event loop that
+//! launches through either a standalone device or a fleet shard (whose
+//! launch store is charged on its own switch-port lane). The loop runs
+//! under one of two schedules, chosen from the config:
+//!
+//! * **Partitioned** — with a placement-pure scheduler and a fixed fleet,
+//!   a request's life touches exactly one device: routing is a pure
+//!   function of its key, admission queues and kernel slots are
+//!   per-device, and the switch charges launch stores on per-port gates.
+//!   So each device runs its own loop instance over its own requests,
+//!   concurrently on the fleet's shard pool ([`Fleet::with_shards`],
+//!   worker count = [`Fleet::parallelism`], knob: `M2NDP_FLEET_JOBS`),
+//!   and the records merge back in global arrival order. Reports are
+//!   bit-identical at every parallelism setting.
+//! * **Global** — dynamic schedulers and autoscaled runs route against
+//!   live state across devices, so one loop instance runs over every
+//!   device, serially ([`Fleet::lend_shards`]); the parallelism knobs never
+//!   touch it, so it is equally deterministic.
 //!
 //! [`FHistogram`]: m2ndp_sim::FHistogram
 
-use std::collections::VecDeque;
-
-use m2ndp_core::fleet::{Fleet, FleetShard};
-use m2ndp_core::{CxlM2ndpDevice, KernelId, KernelInstanceId, LaunchArgs};
+use m2ndp_core::fleet::Fleet;
+use m2ndp_core::{CxlM2ndpDevice, KernelId, LaunchArgs};
 use m2ndp_sim::rng::{exponential, seeded, Zipf};
 use m2ndp_sim::trace::{JsonSink, TraceEvent};
-use m2ndp_sim::{FEventQueue, Frequency};
+use m2ndp_sim::Frequency;
 use m2ndp_workloads::kvstore;
 
 use crate::offload::{OffloadMechanism, OffloadModel};
 
 pub mod autoscale;
+mod event_loop;
 mod report;
 pub mod scheduler;
 
@@ -323,7 +328,7 @@ pub struct ServeConfig {
     /// Record a structured trace of the run (see [`m2ndp_sim::trace`]):
     /// per-device sinks capture kernel/wave/L2/DRAM/switch events and the
     /// report carries them plus per-request phase spans (and, on the
-    /// dynamic path, routing and scaling instants). Off by default —
+    /// global schedule, routing and scaling instants). Off by default —
     /// tracing only observes, so results are identical either way.
     pub trace: bool,
     /// The routing/admission policy (default
@@ -389,8 +394,8 @@ impl ServeConfig {
     }
 
     /// Enables SLO-driven autoscaling (default off). Implies the global
-    /// (serial) execution path and, on multi-device backends, a
-    /// replicated workload.
+    /// (serial) schedule and, on multi-device backends, a replicated
+    /// workload.
     #[must_use]
     pub fn autoscale(mut self, autoscale: AutoscaleConfig) -> Self {
         self.autoscale = Some(autoscale);
@@ -526,12 +531,16 @@ impl ServeBackend {
 /// kernel *on the device simulator* to obtain the real service time, and
 /// is observed by the host `post_ns` after kernel completion.
 ///
-/// With a placement-pure scheduler and no autoscaling, the independent
-/// per-device simulations advance concurrently on the fleet's shard pool
-/// ([`Fleet::parallelism`] workers); the report is bit-identical at every
-/// worker count (see the module docs). Load-aware schedulers and
-/// autoscaled runs use the global serial loop instead
-/// ([`scheduler`]) — equally deterministic.
+/// Every run executes the same event loop. With a placement-pure
+/// scheduler and no autoscaling it runs *partitioned*: one instance per
+/// device, advancing concurrently on the fleet's shard pool
+/// ([`Fleet::parallelism`] workers), with the report bit-identical at
+/// every worker count. Load-aware schedulers and autoscaled runs take the
+/// *global* schedule: one instance over every device, serial and equally
+/// deterministic (see the module docs and [`scheduler`]). The partitioned
+/// schedule charges a fixed fleet `devices × makespan` of device time and
+/// emits no `Route` trace events; the global one integrates device time
+/// over each device's active intervals and traces every routing decision.
 ///
 /// # Panics
 /// Panics on malformed tenant specs (empty trace, non-positive rate), on
@@ -547,7 +556,6 @@ pub fn run<W: ServeWorkload + Sync>(
 ) -> ServeReport {
     let ndev = backend.devices();
     let clock = backend.clock();
-    let slots = cfg.model.max_concurrent().min(cfg.device_slots).max(1);
     if cfg.trace {
         backend.attach_tracers();
     }
@@ -577,246 +585,98 @@ pub fn run<W: ServeWorkload + Sync>(
     });
     let n = requests.len();
 
-    // Load-aware scheduling and elastic fleets route against live state,
-    // so they take the global serial loop.
-    if cfg.scheduler.is_dynamic() || cfg.autoscale.is_some() {
-        return scheduler::run_dynamic(backend, &*workload, cfg, tenants, requests);
-    }
-
-    // ---- route every request to its owning device (serial, so each
-    // per-device stream inherits the global arrival order) ----
-    let mut shard_requests: Vec<Vec<usize>> = vec![Vec::new(); ndev];
-    for (i, r) in requests.iter().enumerate() {
-        let dev = match &*backend {
-            ServeBackend::Device(_) => 0,
-            ServeBackend::Fleet(fleet) => {
-                let addr = workload.route_addr(r.key, ndev);
-                fleet
+    // Home device of each request: what the HdmRouter picks.
+    let views: Vec<ReqView> = requests
+        .iter()
+        .map(|r| {
+            let home = match &*backend {
+                ServeBackend::Device(_) => 0,
+                ServeBackend::Fleet(fleet) => fleet
                     .router()
-                    .device_of(addr)
-                    .expect("workload routes inside the fleet HDM")
+                    .device_of(workload.route_addr(r.key, ndev))
+                    .expect("workload routes inside the fleet HDM"),
+            };
+            let spec = &tenants[r.tenant as usize];
+            ReqView {
+                tenant: r.tenant,
+                seq: r.seq,
+                arrival_ns: r.arrival_ns,
+                key: r.key,
+                home,
+                slo_ns: spec.slo_ns,
+                priority: spec.priority,
             }
-        };
-        shard_requests[dev].push(i);
+        })
+        .collect();
+
+    // Load-aware scheduling and elastic fleets route against live state,
+    // so they take the global schedule.
+    let global = cfg.scheduler.is_dynamic() || cfg.autoscale.is_some();
+    if global {
+        assert!(
+            ndev == 1 || workload.replicated(),
+            "dynamic scheduling ({}) and autoscaling place requests off their \
+             home device, which requires a workload replicated on every device \
+             (ServeWorkload::replicated) — sharded workloads can only run the \
+             static schedulers on a fixed fleet",
+            cfg.scheduler.name()
+        );
+        if let Some(auto_cfg) = &cfg.autoscale {
+            auto_cfg.validate(ndev);
+        }
     }
 
-    // ---- independent per-device event loops, shards on the pool ----
-    let ctx = ShardCtx {
+    let ctx = event_loop::LoopCtx {
         requests: &requests,
+        views: &views,
         workload: &*workload,
         cfg,
         clock,
-        slots,
     };
-    let outcomes: Vec<ShardOutcome> = match backend {
-        ServeBackend::Device(device) => vec![simulate_shard(
-            &ctx,
-            0,
-            &shard_requests[0],
-            ShardSim::Standalone(device),
-        )],
+    let all: Vec<usize> = (0..n).collect();
+    let outs = match backend {
+        ServeBackend::Device(device) => vec![ctx.run(std::slice::from_mut(&mut **device), 0, &all)],
+        ServeBackend::Fleet(fleet) if global => {
+            vec![fleet.lend_shards(|shards| ctx.run(shards, 0, &all))]
+        }
         ServeBackend::Fleet(fleet) => {
+            // Each device's requests, in global arrival order.
+            let mut by_home: Vec<Vec<usize>> = vec![Vec::new(); ndev];
+            for (i, v) in views.iter().enumerate() {
+                by_home[v.home].push(i);
+            }
             let jobs = fleet.parallelism();
             fleet.with_shards(jobs, |shard| {
                 let dev = shard.index();
-                simulate_shard(&ctx, dev, &shard_requests[dev], ShardSim::Fleet(shard))
+                ctx.run(std::slice::from_mut(shard), dev, &by_home[dev])
             })
         }
     };
 
-    // ---- merge shard outcomes back into global arrival order ----
-    let mut records: Vec<Option<ReqRecord>> = vec![None; n];
-    let mut max_outstanding = vec![0u32; ndev];
-    let mut launches = 0u64;
-    for (dev, outcome) in outcomes.into_iter().enumerate() {
-        max_outstanding[dev] = outcome.max_outstanding;
-        launches += outcome.launches;
-        for (i, rec) in outcome.records {
-            records[i] = Some(rec);
-        }
-    }
-    let records: Vec<ReqRecord> = records
-        .into_iter()
-        .map(|r| r.expect("every request completes"))
-        .collect();
-
-    let aux = report::RunAux {
-        max_outstanding,
-        launches,
+    // ---- merge the loop instances (in device order) back into global
+    // arrival order ----
+    let mut tagged: Vec<(usize, ReqRecord)> = Vec::with_capacity(n);
+    let mut aux = report::RunAux {
+        max_outstanding: Vec::with_capacity(ndev),
+        launches: 0,
         device_time_ns: None,
         scale_events: Vec::new(),
-        route_events: false,
+        route_events: global,
     };
+    for out in outs {
+        tagged.extend(out.records);
+        aux.max_outstanding.extend(out.max_outstanding);
+        aux.launches += out.launches;
+        aux.scale_events.extend(out.scale_events);
+        // A partitioned instance closes its device time at its own
+        // makespan; the report charges a fixed fleet devices × makespan.
+        if global {
+            aux.device_time_ns = Some(out.device_time_ns);
+        }
+    }
+    tagged.sort_by_key(|&(i, _)| i);
+    let records = tagged.into_iter().map(|(_, r)| r).collect();
     report::finish_run(backend, cfg, tenants, records, aux)
-}
-
-/// Read-only context shared by every device shard; pool workers only read
-/// it (requests are plain data, the workload's launch/verify methods take
-/// `&self`).
-struct ShardCtx<'a, W: ?Sized> {
-    requests: &'a [Request],
-    workload: &'a W,
-    cfg: &'a ServeConfig,
-    clock: Frequency,
-    slots: u32,
-}
-
-/// The two simulator shapes a shard drives: a standalone device (launch
-/// store already inside the mechanism's `pre_ns`) or one fleet shard
-/// (launch store charged on the shard's switch-port lane).
-enum ShardSim<'a, 'b> {
-    Standalone(&'a mut CxlM2ndpDevice),
-    Fleet(&'a mut FleetShard<'b>),
-}
-
-impl ShardSim<'_, '_> {
-    fn device_mut(&mut self) -> &mut CxlM2ndpDevice {
-        match self {
-            ShardSim::Standalone(device) => device,
-            ShardSim::Fleet(shard) => shard.device_mut(),
-        }
-    }
-}
-
-/// What one device shard produced: its request records (tagged with the
-/// global arrival-order index for the merge), peak outstanding kernels,
-/// and launch count.
-struct ShardOutcome {
-    records: Vec<(usize, ReqRecord)>,
-    max_outstanding: u32,
-    launches: u64,
-}
-
-/// One device's event-driven admission loop — exactly the historical
-/// global loop restricted to this device's arrivals: FIFO queue, slot
-/// pool, launch store (lane-charged in fleets), kernel on the simulator,
-/// functional verification, slot release at kernel completion (direct
-/// MMIO: at host observation). Arrivals are pre-scheduled before any
-/// `SlotFree`, so equal-time ties break identically to the global queue.
-fn simulate_shard<W: ServeWorkload + ?Sized>(
-    ctx: &ShardCtx<'_, W>,
-    dev: usize,
-    idxs: &[usize],
-    mut sim: ShardSim<'_, '_>,
-) -> ShardOutcome {
-    let (pre, post) = (ctx.cfg.model.pre_ns(), ctx.cfg.model.post_ns());
-    let mechanism = ctx.cfg.model.mechanism();
-    let direct = mechanism == OffloadMechanism::CxlIoDirect;
-    enum Ev {
-        Arrive(usize),
-        SlotFree,
-    }
-    let mut events: FEventQueue<Ev> = FEventQueue::new();
-    for &i in idxs {
-        events.schedule(ctx.requests[i].arrival_ns, Ev::Arrive(i));
-    }
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    let mut free = ctx.slots;
-    let mut outstanding = 0u32;
-    let mut max_outstanding = 0u32;
-    let mut launches = 0u64;
-    let mut records: Vec<(usize, ReqRecord)> = Vec::with_capacity(idxs.len());
-
-    while let Some((now, ev)) = events.pop() {
-        match ev {
-            Ev::Arrive(i) => queue.push_back(i),
-            Ev::SlotFree => {
-                free += 1;
-                outstanding -= 1;
-            }
-        }
-        // Admit as long as the device has free slots (FIFO).
-        while free > 0 {
-            let Some(i) = queue.pop_front() else {
-                break;
-            };
-            free -= 1;
-            outstanding += 1;
-            max_outstanding = max_outstanding.max(outstanding);
-            let req = ctx.requests[i];
-            let args = ctx.workload.launch_args(&req, dev);
-
-            // Launch on the simulator; fleet shards charge the store on
-            // their switch-port lane and convert its cycle-level skew back
-            // to ns.
-            let (inst, switch_skew_ns) = match &mut sim {
-                ShardSim::Standalone(device) => (
-                    m2func_or_direct_launch(device, mechanism, req.tenant, args),
-                    0.0,
-                ),
-                ShardSim::Fleet(shard) => {
-                    let issue = ctx.clock.cycles_from_ns(now);
-                    let (inst, arrival) = if mechanism == OffloadMechanism::M2Func {
-                        shard
-                            .m2func_launch(issue, req.tenant, args)
-                            .expect("serving launch must not be rejected")
-                    } else {
-                        shard
-                            .launch(issue, args)
-                            .expect("serving launch must not be rejected")
-                    };
-                    (
-                        inst,
-                        ctx.clock.ns_from_cycles(arrival.saturating_sub(issue)),
-                    )
-                }
-            };
-            let device = sim.device_mut();
-            let t0 = device.now();
-            let done = device.run_until_finished(inst);
-            let service_ns = ctx.clock.ns_from_cycles(done - t0);
-            launches += 1;
-            ctx.workload
-                .verify(&req, dev, device)
-                .expect("request must verify functionally");
-
-            let start = now + switch_skew_ns + pre;
-            let kernel_done = start + service_ns;
-            let observed = kernel_done + post;
-            let slot_free_at = if direct { observed } else { kernel_done };
-            events.schedule(slot_free_at, Ev::SlotFree);
-            records.push((
-                i,
-                ReqRecord {
-                    tenant: req.tenant,
-                    seq: req.seq,
-                    device: dev,
-                    arrival_ns: req.arrival_ns,
-                    admitted_ns: now,
-                    start_ns: start,
-                    service_ns,
-                    observed_ns: observed,
-                },
-            ));
-        }
-    }
-    ShardOutcome {
-        records,
-        max_outstanding,
-        launches,
-    }
-}
-
-/// Launches on a standalone device: through the M²func wire protocol for
-/// the M²func mechanism ([`CxlM2ndpDevice::m2func_launch`] — the same
-/// implementation the fleet path uses), or directly at the controller for
-/// the CXL.io mechanisms (their command path is modelled by the pre/post
-/// phases, not by M²func packets).
-fn m2func_or_direct_launch(
-    device: &mut CxlM2ndpDevice,
-    mechanism: OffloadMechanism,
-    asid: u16,
-    args: LaunchArgs,
-) -> KernelInstanceId {
-    if mechanism == OffloadMechanism::M2Func {
-        device
-            .m2func_launch(asid, args)
-            .expect("serving launch must not be rejected")
-    } else {
-        device
-            .launch(args)
-            .expect("serving launch must not be rejected")
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,11 +2,10 @@
 //! run-level reports, and the shared post-processing that turns raw
 //! records into a [`ServeReport`].
 //!
-//! Both execution paths — the shard-parallel static loop and the global
-//! dynamic-scheduler loop — end here: [`finish_run`] computes the steady
-//! measurement window, tenant histograms, SLO counters, and the opt-in
-//! trace assembly from the same record stream, so the two paths cannot
-//! drift in how they measure.
+//! Both schedules of the serving loop — partitioned and global — end
+//! here: [`finish_run`] computes the steady measurement window, tenant
+//! histograms, SLO counters, and the opt-in trace assembly from the same
+//! record stream, so the two schedules cannot drift in how they measure.
 
 use m2ndp_core::{MetricSet, StatValue};
 use m2ndp_sim::json::Json;
@@ -200,21 +199,21 @@ impl ServeReport {
     }
 }
 
-/// Execution-path-specific outputs that [`finish_run`] folds into the
-/// report alongside the record stream.
+/// Loop outputs that [`finish_run`] folds into the report alongside the
+/// record stream.
 pub(super) struct RunAux {
     /// Peak concurrently outstanding kernels per device.
     pub max_outstanding: Vec<u32>,
     /// Total kernel launches.
     pub launches: u64,
-    /// Device-busy integral computed by the dynamic loop; `None` means a
-    /// static fleet (`devices × makespan`).
+    /// Device-busy integral computed by the global schedule; `None` means
+    /// a partitioned run on a fixed fleet (`devices × makespan`).
     pub device_time_ns: Option<f64>,
     /// Autoscaler lifecycle transitions (empty without autoscaling).
     pub scale_events: Vec<ScaleEvent>,
     /// Whether to emit per-request `Route` instants into the trace (the
-    /// dynamic loop's placement decisions; static routing is a pure
-    /// function of the key, so it emits none).
+    /// global schedule's placement decisions; partitioned routing is a
+    /// pure function of the key, so it emits none).
     pub route_events: bool,
 }
 

@@ -1,25 +1,28 @@
-//! Pluggable request scheduling for the serving runtime, plus the global
-//! event loop that dynamic schedulers and autoscaled runs execute on.
+//! Pluggable request scheduling for the serving runtime.
 //!
-//! # Two execution paths
+//! # One loop, two schedules
 //!
-//! The serving runtime has two ways to execute a run, chosen by
-//! [`SchedulerKind::is_dynamic`] and [`ServeConfig::autoscale`]:
+//! Every run executes the same event loop (route at arrival, admit
+//! against per-device slot pools, launch, verify, record). What differs
+//! is how many devices one loop instance sees, chosen by
+//! [`SchedulerKind::is_dynamic`] and
+//! [`ServeConfig::autoscale`](super::ServeConfig::autoscale):
 //!
-//! * **Shard-parallel** (static placement): when the scheduler is a pure
-//!   function of the request key ([`SchedulerKind::StaticFifo`],
-//!   [`SchedulerKind::HdmLocality`]) and the fleet is not elastic, a
-//!   request's device is decided before anything runs, so the runtime
-//!   decomposes into independent per-device event loops
-//!   (`Fleet::with_shards`). This is the historical fig11c path and stays
-//!   bit-identical to it.
-//! * **Global serial loop** (`run_dynamic`): load-aware schedulers
+//! * **Partitioned** (placement-pure kinds, fixed fleet): when the
+//!   scheduler is a pure function of the request key
+//!   ([`SchedulerKind::StaticFifo`], [`SchedulerKind::HdmLocality`]) and
+//!   the fleet is not elastic, a request's device is known before
+//!   anything runs, so each device gets its own loop instance over its
+//!   own requests, and the instances advance concurrently on the fleet's
+//!   shard pool (`Fleet::with_shards`).
+//! * **Global** (load-aware kinds or autoscaling): load-aware schedulers
 //!   ([`SchedulerKind::ShortestQueue`], [`SchedulerKind::PrioritySlo`])
 //!   and any autoscaled run route each request when it *arrives*, against
 //!   the fleet's live admission state. Placement then depends on the
-//!   interleaving of all devices' completions, so the loop is global and
-//!   serial — trivially deterministic at any `--jobs`/`--fleet-jobs`
-//!   setting, because those knobs never touch it.
+//!   interleaving of all devices' completions, so one loop instance runs
+//!   over every device, serially (`Fleet::lend_shards`) — deterministic
+//!   at any `--jobs`/`--fleet-jobs` setting, because those knobs never
+//!   touch it.
 //!
 //! # Determinism rules for scheduler implementations
 //!
@@ -34,50 +37,41 @@
 //! Anything that can place a request off its home device — load-aware
 //! routing, work stealing, draining a device that owns data — requires a
 //! workload that can serve any key on any device
-//! ([`ServeWorkload::replicated`]). `run_dynamic` enforces this up
-//! front with a panic rather than letting functional verification fail
-//! halfway through a run.
+//! ([`ServeWorkload::replicated`](super::ServeWorkload::replicated)).
+//! [`run`](super::run) enforces this up front with a panic rather than
+//! letting functional verification fail halfway through a run.
 
 use std::collections::VecDeque;
 
-use m2ndp_core::{DeviceLifecycle, DeviceView, FleetView};
-use m2ndp_sim::{FEventQueue, Frequency};
-
-use crate::offload::OffloadMechanism;
-
-use super::autoscale::{Autoscaler, ScaleDecision, ScaleEvent};
-use super::report::{finish_run, ReqRecord, RunAux, ServeReport};
-use super::{
-    m2func_or_direct_launch, Request, ServeBackend, ServeConfig, ServeWorkload, TenantSpec,
-};
-use m2ndp_sim::trace::ScaleDir;
+use m2ndp_core::FleetView;
 
 /// The built-in scheduling policies, selectable via
 /// [`ServeConfig::scheduler`](super::ServeConfig::scheduler).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerKind {
     /// Route to the key's home device, FIFO admission — the historical
-    /// fig11c behaviour, executed on the shard-parallel path and pinned
+    /// fig11c behaviour, executed on the partitioned schedule and pinned
     /// bit-identical by the benchmark snapshot.
     #[default]
     StaticFifo,
     /// Route each arrival to the active device with the least load
     /// (queue + outstanding; ties to the lowest index). Load-aware, so it
-    /// runs on the global loop and requires a replicated workload.
+    /// runs on the global schedule and requires a replicated workload.
     ShortestQueue,
     /// Route to the device owning the key's HDM page (via the fleet's
     /// `HdmRouter`). For key-sharded *and* for home-striped replicated
     /// workloads this is exactly the home device, so without autoscaling
     /// it coincides with [`SchedulerKind::StaticFifo`] — the parity test
-    /// pins that — and runs on the shard-parallel path. Under autoscaling
+    /// pins that — and runs on the partitioned schedule. Under autoscaling
     /// it keeps routing home while the autoscaler reshapes the fleet.
     HdmLocality,
     /// Priority-aware admission with SLO-deadline ordering and bounded
     /// work stealing: arrivals route to the least-loaded device, each
     /// device admits its queued request with the (numerically lowest
-    /// [`TenantSpec::priority`], earliest `arrival + slo` deadline) first,
-    /// and a device going idle steals one queued request from the longest
-    /// active queue. Runs on the global loop.
+    /// [`TenantSpec::priority`](super::TenantSpec::priority), earliest
+    /// `arrival + slo` deadline) first, and a device going idle steals one
+    /// queued request from the longest active queue. Runs on the global
+    /// schedule.
     PrioritySlo,
 }
 
@@ -109,8 +103,8 @@ impl SchedulerKind {
     }
 
     /// Whether this policy routes against live fleet state (and therefore
-    /// must run on the global serial loop). Placement-pure policies keep
-    /// the shard-parallel path unless autoscaling makes the fleet itself
+    /// must run on the global schedule). Placement-pure policies keep the
+    /// partitioned schedule unless autoscaling makes the fleet itself
     /// dynamic.
     pub fn is_dynamic(self) -> bool {
         matches!(
@@ -132,7 +126,7 @@ impl SchedulerKind {
 
 /// The scheduler-facing view of one request: everything a routing or
 /// admission decision may depend on. Built once per run from the
-/// generated [`Request`]s and the tenant specs.
+/// generated [`Request`](super::Request)s and the tenant specs.
 #[derive(Debug, Clone, Copy)]
 pub struct ReqView {
     /// Issuing tenant.
@@ -155,11 +149,11 @@ pub struct ReqView {
 /// A pluggable routing/admission policy for the serving runtime.
 ///
 /// Only [`Scheduler::route`] is required; the remaining hooks default to
-/// FIFO admission, no stealing, and no state updates. Implementations
-/// must follow the determinism rules in the [module docs](self).
+/// FIFO admission and no stealing. Implementations must follow the
+/// determinism rules in the [module docs](self).
 pub trait Scheduler {
     /// Picks the device for a request at its arrival. Returning a device
-    /// that is not currently [`DeviceLifecycle::Active`] (or is out of
+    /// that is not currently [`Active`](m2ndp_core::DeviceLifecycle::Active) (or is out of
     /// range) is tolerated: the runtime falls back to the least-loaded
     /// active device, so policies like home routing stay total under
     /// autoscaling.
@@ -185,17 +179,6 @@ pub trait Scheduler {
     fn steal(&mut self, idle: usize, view: &FleetView) -> Option<usize> {
         let _ = (idle, view);
         None
-    }
-
-    /// Observes a completion: `req` finished on `dev` with the given
-    /// end-to-end latency. Default: no-op.
-    fn on_complete(&mut self, dev: usize, req: &ReqView, latency_ns: f64) {
-        let _ = (dev, req, latency_ns);
-    }
-
-    /// Observes an autoscaler evaluation tick. Default: no-op.
-    fn on_tick(&mut self, now_ns: f64, view: &FleetView) {
-        let _ = (now_ns, view);
     }
 }
 
@@ -264,448 +247,10 @@ impl Scheduler for PrioritySlo {
     }
 }
 
-/// Events of the global serial loop. Arrivals are all pre-scheduled
-/// before the loop starts, so equal-time ties break identically to the
-/// per-shard loops (arrivals before completions, then insertion order).
-enum Ev {
-    /// Request `i` (global arrival index) arrives.
-    Arrive(usize),
-    /// A kernel slot frees on a device; carries the finished request and
-    /// its end-to-end latency for the completion callbacks.
-    SlotFree {
-        dev: usize,
-        idx: usize,
-        latency_ns: f64,
-    },
-    /// Autoscaler evaluation tick.
-    Tick,
-}
-
-/// All mutable state of the global loop, so the event handlers can be
-/// methods instead of a closure tangle.
-struct DynLoop<'a, W: ?Sized> {
-    backend: &'a mut ServeBackend,
-    workload: &'a W,
-    requests: &'a [Request],
-    views: Vec<ReqView>,
-    clock: Frequency,
-    mechanism: OffloadMechanism,
-    pre: f64,
-    post: f64,
-    direct: bool,
-    slots: u32,
-    sched: Box<dyn Scheduler>,
-    auto: Option<Autoscaler>,
-    queues: Vec<VecDeque<usize>>,
-    free: Vec<u32>,
-    outstanding: Vec<u32>,
-    max_outstanding: Vec<u32>,
-    lifecycle: Vec<DeviceLifecycle>,
-    active_count: usize,
-    /// Start of each device's current active interval (`None` = parked).
-    active_since: Vec<Option<f64>>,
-    /// Closed active intervals, integrated (ns).
-    device_time_ns: f64,
-    launches: u64,
-    completed: usize,
-    records: Vec<(usize, ReqRecord)>,
-    scale_events: Vec<ScaleEvent>,
-}
-
-impl<W: ServeWorkload + ?Sized> DynLoop<'_, W> {
-    fn view(&self) -> FleetView {
-        FleetView {
-            devices: (0..self.queues.len())
-                .map(|d| DeviceView {
-                    queue_len: self.queues[d].len(),
-                    outstanding: self.outstanding[d],
-                    free_slots: self.free[d],
-                    lifecycle: self.lifecycle[d],
-                })
-                .collect(),
-        }
-    }
-
-    fn set_lifecycle(&mut self, dev: usize, state: DeviceLifecycle) {
-        self.lifecycle[dev] = state;
-        if let ServeBackend::Fleet(fleet) = &mut *self.backend {
-            fleet.set_lifecycle(dev, state);
-        }
-    }
-
-    /// Routes request `i` through the scheduler, falling back to the
-    /// least-loaded active device when the policy picks a device that is
-    /// parked, draining, or out of range.
-    fn route(&mut self, i: usize) -> usize {
-        let view = self.view();
-        let dev = self.sched.route(&self.views[i], &view);
-        if dev < self.lifecycle.len() && self.lifecycle[dev] == DeviceLifecycle::Active {
-            dev
-        } else {
-            view.shortest_active()
-                .expect("fleet has at least one active device")
-        }
-    }
-
-    /// Admits from device `dev`'s queue while it has free slots, running
-    /// each admitted request's kernel on the simulator (the same launch
-    /// arithmetic as the shard-parallel path).
-    fn try_admit(&mut self, dev: usize, now: f64, events: &mut FEventQueue<Ev>) {
-        while self.free[dev] > 0 && !self.queues[dev].is_empty() {
-            let pos = self.sched.select(dev, &self.queues[dev], &self.views, now);
-            let i = self.queues[dev]
-                .remove(pos)
-                .expect("select returned a position inside the queue");
-            self.free[dev] -= 1;
-            self.outstanding[dev] += 1;
-            self.max_outstanding[dev] = self.max_outstanding[dev].max(self.outstanding[dev]);
-            let req = self.requests[i];
-            let args = self.workload.launch_args(&req, dev);
-
-            let (inst, switch_skew_ns) = match &mut *self.backend {
-                ServeBackend::Device(device) => (
-                    m2func_or_direct_launch(device, self.mechanism, req.tenant, args),
-                    0.0,
-                ),
-                ServeBackend::Fleet(fleet) => {
-                    let issue = self.clock.cycles_from_ns(now);
-                    let (inst, arrival) = if self.mechanism == OffloadMechanism::M2Func {
-                        fleet
-                            .m2func_launch_on(issue, dev, req.tenant, args)
-                            .expect("serving launch must not be rejected")
-                    } else {
-                        fleet
-                            .launch_on(issue, dev, args)
-                            .expect("serving launch must not be rejected")
-                    };
-                    (
-                        inst,
-                        self.clock.ns_from_cycles(arrival.saturating_sub(issue)),
-                    )
-                }
-            };
-            let device = self.backend.device_mut(dev);
-            let t0 = device.now();
-            let done = device.run_until_finished(inst);
-            let service_ns = self.clock.ns_from_cycles(done - t0);
-            self.launches += 1;
-            self.workload
-                .verify(&req, dev, self.backend.device(dev))
-                .expect("request must verify functionally");
-
-            let start = now + switch_skew_ns + self.pre;
-            let kernel_done = start + service_ns;
-            let observed = kernel_done + self.post;
-            let slot_free_at = if self.direct { observed } else { kernel_done };
-            events.schedule(
-                slot_free_at,
-                Ev::SlotFree {
-                    dev,
-                    idx: i,
-                    latency_ns: observed - req.arrival_ns,
-                },
-            );
-            self.records.push((
-                i,
-                ReqRecord {
-                    tenant: req.tenant,
-                    seq: req.seq,
-                    device: dev,
-                    arrival_ns: req.arrival_ns,
-                    admitted_ns: now,
-                    start_ns: start,
-                    service_ns,
-                    observed_ns: observed,
-                },
-            ));
-        }
-    }
-
-    /// One bounded work-steal: if `dev` is active, has a free slot and an
-    /// empty queue, ask the scheduler for a victim and move that queue's
-    /// newest request over.
-    fn maybe_steal(&mut self, dev: usize, now: f64, events: &mut FEventQueue<Ev>) {
-        if self.lifecycle[dev] != DeviceLifecycle::Active
-            || self.free[dev] == 0
-            || !self.queues[dev].is_empty()
-        {
-            return;
-        }
-        let view = self.view();
-        let Some(victim) = self.sched.steal(dev, &view) else {
-            return;
-        };
-        if victim == dev || victim >= self.queues.len() {
-            return;
-        }
-        let Some(i) = self.queues[victim].pop_back() else {
-            return;
-        };
-        self.queues[dev].push_back(i);
-        self.try_admit(dev, now, events);
-    }
-
-    /// Activates the lowest-indexed non-active device and rebalances up to
-    /// one slot-pool's worth of queued work onto it.
-    fn scale_up(&mut self, now: f64, events: &mut FEventQueue<Ev>) {
-        let Some(dev) =
-            (0..self.lifecycle.len()).find(|&d| self.lifecycle[d] != DeviceLifecycle::Active)
-        else {
-            return;
-        };
-        // Re-activating a draining device simply cancels its drain; its
-        // active interval never closed, so device-time stays correct.
-        if self.active_since[dev].is_none() {
-            self.active_since[dev] = Some(now);
-        }
-        self.set_lifecycle(dev, DeviceLifecycle::Active);
-        self.active_count += 1;
-        self.scale_events.push(ScaleEvent {
-            t_ns: now,
-            device: dev,
-            dir: ScaleDir::Up,
-            active: self.active_count,
-        });
-        for _ in 0..self.slots {
-            let view = self.view();
-            let Some(victim) = view.longest_active_queue() else {
-                break;
-            };
-            if victim == dev {
-                break;
-            }
-            let Some(i) = self.queues[victim].pop_back() else {
-                break;
-            };
-            self.queues[dev].push_back(i);
-        }
-        self.try_admit(dev, now, events);
-    }
-
-    /// Starts draining the highest-indexed active device: it stops
-    /// admitting, its queued requests re-route, and it parks when its
-    /// in-flight kernels finish.
-    fn scale_drain(&mut self, now: f64, events: &mut FEventQueue<Ev>) {
-        let Some(dev) = (0..self.lifecycle.len())
-            .rev()
-            .find(|&d| self.lifecycle[d] == DeviceLifecycle::Active)
-        else {
-            return;
-        };
-        self.set_lifecycle(dev, DeviceLifecycle::Draining);
-        self.active_count -= 1;
-        self.scale_events.push(ScaleEvent {
-            t_ns: now,
-            device: dev,
-            dir: ScaleDir::DrainStart,
-            active: self.active_count,
-        });
-        let orphans: Vec<usize> = self.queues[dev].drain(..).collect();
-        for i in orphans {
-            let target = self.route(i);
-            self.queues[target].push_back(i);
-            self.try_admit(target, now, events);
-        }
-        self.finish_drain_if_idle(dev, now);
-    }
-
-    /// Parks a draining device once its last in-flight kernel finished,
-    /// closing its device-time interval.
-    fn finish_drain_if_idle(&mut self, dev: usize, now: f64) {
-        if self.lifecycle[dev] != DeviceLifecycle::Draining || self.outstanding[dev] != 0 {
-            return;
-        }
-        self.set_lifecycle(dev, DeviceLifecycle::Drained);
-        if let Some(since) = self.active_since[dev].take() {
-            self.device_time_ns += now - since;
-        }
-        self.scale_events.push(ScaleEvent {
-            t_ns: now,
-            device: dev,
-            dir: ScaleDir::DrainDone,
-            active: self.active_count,
-        });
-    }
-}
-
-/// The global serial event loop: routes each request at arrival through
-/// `cfg.scheduler`, admits against live per-device slot pools, and (when
-/// configured) lets the autoscaler grow and shrink the active set
-/// mid-run. See the [module docs](self) for when this path is taken and
-/// what it requires of the workload.
-pub(super) fn run_dynamic<W: ServeWorkload + ?Sized>(
-    backend: &mut ServeBackend,
-    workload: &W,
-    cfg: &ServeConfig,
-    tenants: &[TenantSpec],
-    requests: Vec<Request>,
-) -> ServeReport {
-    let ndev = backend.devices();
-    assert!(
-        ndev == 1 || workload.replicated(),
-        "dynamic scheduling ({}) and autoscaling place requests off their \
-         home device, which requires a workload replicated on every device \
-         (ServeWorkload::replicated) — sharded workloads can only run the \
-         static schedulers on a fixed fleet",
-        cfg.scheduler.name()
-    );
-    if let Some(auto_cfg) = &cfg.autoscale {
-        auto_cfg.validate(ndev);
-    }
-    let clock = backend.clock();
-    let slots = cfg.model.max_concurrent().min(cfg.device_slots).max(1);
-    let n = requests.len();
-
-    // Home device of each request: what the HdmRouter would pick (the
-    // static path's placement).
-    let views: Vec<ReqView> = requests
-        .iter()
-        .map(|r| {
-            let home = match &*backend {
-                ServeBackend::Device(_) => 0,
-                ServeBackend::Fleet(fleet) => {
-                    let addr = workload.route_addr(r.key, ndev);
-                    fleet
-                        .router()
-                        .device_of(addr)
-                        .expect("workload routes inside the fleet HDM")
-                }
-            };
-            ReqView {
-                tenant: r.tenant,
-                seq: r.seq,
-                arrival_ns: r.arrival_ns,
-                key: r.key,
-                home,
-                slo_ns: tenants[r.tenant as usize].slo_ns,
-                priority: tenants[r.tenant as usize].priority,
-            }
-        })
-        .collect();
-
-    // An autoscaled fleet starts at min_devices and earns the rest;
-    // without autoscaling every device is active for the whole run.
-    let initial_active = cfg.autoscale.map_or(ndev, |a| a.min_devices);
-    let mut lifecycle = vec![DeviceLifecycle::Active; ndev];
-    let mut active_since = vec![Some(0.0); ndev];
-    for d in initial_active..ndev {
-        lifecycle[d] = DeviceLifecycle::Drained;
-        active_since[d] = None;
-    }
-    if let ServeBackend::Fleet(fleet) = &mut *backend {
-        for (d, &l) in lifecycle.iter().enumerate() {
-            fleet.set_lifecycle(d, l);
-        }
-    }
-
-    let mut st = DynLoop {
-        backend,
-        workload,
-        requests: &requests,
-        views,
-        clock,
-        mechanism: cfg.model.mechanism(),
-        pre: cfg.model.pre_ns(),
-        post: cfg.model.post_ns(),
-        direct: cfg.model.mechanism() == OffloadMechanism::CxlIoDirect,
-        slots,
-        sched: cfg.scheduler.instantiate(),
-        auto: cfg.autoscale.map(Autoscaler::new),
-        queues: vec![VecDeque::new(); ndev],
-        free: vec![slots; ndev],
-        outstanding: vec![0; ndev],
-        max_outstanding: vec![0; ndev],
-        lifecycle,
-        active_count: initial_active,
-        active_since,
-        device_time_ns: 0.0,
-        launches: 0,
-        completed: 0,
-        records: Vec::with_capacity(n),
-        scale_events: Vec::new(),
-    };
-
-    let mut events: FEventQueue<Ev> = FEventQueue::new();
-    for (i, r) in requests.iter().enumerate() {
-        events.schedule(r.arrival_ns, Ev::Arrive(i));
-    }
-    if let Some(auto) = &st.auto {
-        events.schedule(auto.interval_ns(), Ev::Tick);
-    }
-
-    while let Some((now, ev)) = events.pop() {
-        match ev {
-            Ev::Arrive(i) => {
-                let dev = st.route(i);
-                st.queues[dev].push_back(i);
-                st.try_admit(dev, now, &mut events);
-            }
-            Ev::SlotFree {
-                dev,
-                idx,
-                latency_ns,
-            } => {
-                st.free[dev] += 1;
-                st.outstanding[dev] -= 1;
-                st.completed += 1;
-                st.sched.on_complete(dev, &st.views[idx], latency_ns);
-                if let Some(auto) = &mut st.auto {
-                    auto.observe(latency_ns);
-                }
-                st.finish_drain_if_idle(dev, now);
-                st.try_admit(dev, now, &mut events);
-                st.maybe_steal(dev, now, &mut events);
-            }
-            Ev::Tick => {
-                let view = st.view();
-                st.sched.on_tick(now, &view);
-                let decision = st
-                    .auto
-                    .as_mut()
-                    .and_then(|auto| auto.decide(st.active_count));
-                match decision {
-                    Some(ScaleDecision::Up) => st.scale_up(now, &mut events),
-                    Some(ScaleDecision::Drain) => st.scale_drain(now, &mut events),
-                    None => {}
-                }
-                if st.completed < n {
-                    if let Some(auto) = &st.auto {
-                        events.schedule(now + auto.interval_ns(), Ev::Tick);
-                    }
-                }
-            }
-        }
-    }
-    assert_eq!(st.completed, n, "every request completes");
-
-    // Close the still-open active intervals at the makespan.
-    let makespan = st
-        .records
-        .iter()
-        .map(|(_, r)| r.observed_ns)
-        .fold(0.0f64, f64::max);
-    for since in st.active_since.iter_mut() {
-        if let Some(s) = since.take() {
-            st.device_time_ns += makespan - s;
-        }
-    }
-
-    let mut tagged = st.records;
-    tagged.sort_by_key(|&(i, _)| i);
-    let records: Vec<ReqRecord> = tagged.into_iter().map(|(_, r)| r).collect();
-    let aux = RunAux {
-        max_outstanding: st.max_outstanding,
-        launches: st.launches,
-        device_time_ns: Some(st.device_time_ns),
-        scale_events: st.scale_events,
-        route_events: true,
-    };
-    finish_run(backend, cfg, tenants, records, aux)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use m2ndp_core::{DeviceLifecycle, DeviceView};
 
     fn view(devs: &[(usize, u32, u32, DeviceLifecycle)]) -> FleetView {
         FleetView {

@@ -5,8 +5,9 @@
 //! device matches a 1-device fleet up to the switch hop.
 //!
 //! The serving cases drive real device simulators, so they use small
-//! request budgets and few proptest cases; the closed-form `OffloadSim`
-//! cases are cheap and run at the usual counts.
+//! request budgets and few proptest cases (6, or `PROPTEST_CASES` when
+//! set, so CI can run a deeper pass); the closed-form `OffloadSim` cases
+//! are cheap and run at the usual counts.
 
 use std::collections::HashMap;
 
@@ -16,6 +17,15 @@ use m2ndp_cxl::SwitchConfig;
 use m2ndp_host::offload::{OffloadMechanism, OffloadModel, OffloadSim};
 use m2ndp_host::serve::{self, KvServeWorkload, ServeBackend, ServeConfig, TenantSpec};
 use proptest::prelude::*;
+
+/// Case count of the serving properties: `PROPTEST_CASES` when set,
+/// otherwise 6.
+fn serving_cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(6)
+}
 
 /// Maps a drawn index onto a mechanism (the vendored proptest subset has
 /// no `prop_oneof`).
@@ -169,7 +179,7 @@ proptest! {
 
 proptest! {
     // Serving cases simulate real kernels: keep the budgets small.
-    #![proptest_config(ProptestConfig::with_cases(6))]
+    #![proptest_config(ProptestConfig::with_cases(serving_cases()))]
 
     /// Serving latencies are never below the mechanism overhead, every
     /// request completes, and per-(tenant, device) admission stays FIFO.
