@@ -1384,7 +1384,7 @@ impl Engine {
                 match slot.ctxs.iter().filter(|c| !c.done).map(|c| c.pc).min() {
                     None => Scan::AllDone,
                     Some(pc) => match prog.class_at(pc) {
-                        Some(class) => Scan::Issue(pc, class.fu),
+                        Some(fu) => Scan::Issue(pc, fu),
                         None => Scan::OffEnd,
                     },
                 }
@@ -1428,9 +1428,10 @@ impl Engine {
     }
 
     /// Executes one SIMT group issue: all non-done sub-threads at `min_pc`
-    /// run the instruction there via [`step_group`] (decode once, tight
-    /// lane loop), with memory operations collected in the engine-owned
-    /// [`IssueScratch`] — no allocation on this path in steady state.
+    /// run the instruction there via [`step_group`] (fetch once, one
+    /// executor call per lane), with memory operations collected in the
+    /// engine-owned [`IssueScratch`] — no allocation on this path in
+    /// steady state.
     fn execute_group(
         &mut self,
         now: Cycle,

@@ -42,11 +42,12 @@ impl MainMemory {
             .or_insert_with(|| Box::new([0u8; PAGE_SIZE]))
     }
 
-    /// Reads `buf.len()` bytes starting at `addr`.
+    /// Reads `buf.len()` bytes starting at `addr`. Addresses wrap at the
+    /// top of the 64-bit space, as kernel address arithmetic does.
     pub fn read_bytes(&self, addr: u64, buf: &mut [u8]) {
         let mut done = 0usize;
         while done < buf.len() {
-            let cur = addr + done as u64;
+            let cur = addr.wrapping_add(done as u64);
             let off = (cur & (PAGE_SIZE as u64 - 1)) as usize;
             let n = (PAGE_SIZE - off).min(buf.len() - done);
             match self.pages.get(&(cur >> PAGE_SHIFT)) {
@@ -57,11 +58,11 @@ impl MainMemory {
         }
     }
 
-    /// Writes `data` starting at `addr`.
+    /// Writes `data` starting at `addr`, wrapping like [`Self::read_bytes`].
     pub fn write_bytes(&mut self, addr: u64, data: &[u8]) {
         let mut done = 0usize;
         while done < data.len() {
-            let cur = addr + done as u64;
+            let cur = addr.wrapping_add(done as u64);
             let off = (cur & (PAGE_SIZE as u64 - 1)) as usize;
             let n = (PAGE_SIZE - off).min(data.len() - done);
             self.page_mut(cur)[off..off + n].copy_from_slice(&data[done..done + n]);
@@ -209,6 +210,14 @@ mod tests {
         m.write_u64(addr, 0x1122_3344_5566_7788);
         assert_eq!(m.read_u64(addr), 0x1122_3344_5566_7788);
         assert_eq!(m.resident_pages(), 2);
+    }
+
+    #[test]
+    fn accesses_wrap_at_the_top_of_the_address_space() {
+        let mut m = MainMemory::new();
+        m.write_u64(u64::MAX - 3, 0x1122_3344_5566_7788);
+        assert_eq!(m.read_u64(u64::MAX - 3), 0x1122_3344_5566_7788);
+        assert_eq!(m.read_u32(0), 0x1122_3344);
     }
 
     #[test]

@@ -1,22 +1,16 @@
-//! Group-dispatch vs per-lane interpreter microbenchmarks.
+//! Interpreter microbenchmarks: [`step_group`] over an 8-lane SIMT group.
 //!
 //! Three kernels bracket the interpreter's regimes — a converged scalar
-//! ALU loop (pure decode overhead), a strided vector load loop (memory
-//! effect reporting), and a lane-divergent branch loop (partial groups) —
-//! each dispatched two ways over an 8-lane SIMT group:
-//!
-//! * `per_lane`: the engine's pre-group loop — scan for the minimum pc,
-//!   then call [`step`] for every lane parked there, re-matching the
-//!   instruction per lane and collecting `Effect` values;
-//! * `group`: [`step_group`] — decode once, tight lane loop, memory
-//!   operations written into a reused [`EffectBuf`].
-//!
-//! The pairs print side by side so the `perf-gate` CI log shows the
-//! group-dispatch win directly (`M2NDP_BENCH_MS` shortens the window).
+//! ALU loop (per-instruction dispatch cost), a strided vector load loop
+//! (memory effect reporting), and a lane-divergent branch loop (partial
+//! groups). Each runs to completion the way the engine issues it: scan
+//! for the minimum pc, then [`step_group`] runs the instruction there on
+//! every lane parked at it, writing memory operations into a reused
+//! [`EffectBuf`]. `M2NDP_BENCH_MS` shortens the measurement window.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use m2ndp_mem::MainMemory;
-use m2ndp_riscv::exec::{step, step_group, Effect, EffectBuf, MainMemoryIface, MemOp, ThreadCtx};
+use m2ndp_riscv::exec::{step_group, EffectBuf, MainMemoryIface, ThreadCtx};
 use m2ndp_riscv::{assemble, Program};
 
 const LANES: usize = 8;
@@ -72,42 +66,6 @@ fn reset_lanes(ctxs: &mut [ThreadCtx]) {
     }
 }
 
-/// Runs the program to completion with the engine's pre-group per-lane
-/// loop; returns total lanes issued (kept live via `black_box`).
-fn run_per_lane(ctxs: &mut [ThreadCtx], prog: &Program, mem: &mut MainMemory) -> u64 {
-    let mut iface = MainMemoryIface::new(mem);
-    let mut memops: Vec<MemOp> = Vec::new();
-    let mut total = 0u64;
-    while let Some(min_pc) = ctxs.iter().filter(|c| !c.done).map(|c| c.pc).min() {
-        if prog.fetch(min_pc).is_none() {
-            break;
-        }
-        memops.clear();
-        let mut first: Option<Effect> = None;
-        for ctx in ctxs.iter_mut() {
-            if ctx.done || ctx.pc != min_pc {
-                continue;
-            }
-            total += 1;
-            match step(ctx, prog, &mut iface) {
-                Ok(effect) => {
-                    match &effect {
-                        Effect::Mem(op) => memops.push(*op),
-                        Effect::VMem(ops) => memops.extend_from_slice(ops),
-                        _ => {}
-                    }
-                    if first.is_none() {
-                        first = Some(effect);
-                    }
-                }
-                Err(_) => ctx.done = true,
-            }
-        }
-        black_box((&first, &memops));
-    }
-    total
-}
-
 /// Runs the program to completion through `step_group`.
 fn run_group(
     ctxs: &mut [ThreadCtx],
@@ -128,18 +86,12 @@ fn run_group(
     total
 }
 
-fn bench_pair(c: &mut Criterion, name: &str, source: &str) {
+fn bench_kernel(c: &mut Criterion, name: &str, source: &str) {
     let prog = assemble(source).expect(name);
     let mut mem = MainMemory::new();
     let mut ctxs = spawn_lanes();
     let mut buf = EffectBuf::new();
 
-    c.bench_function(&format!("interp/{name}/per_lane"), |b| {
-        b.iter(|| {
-            reset_lanes(&mut ctxs);
-            run_per_lane(&mut ctxs, &prog, &mut mem)
-        })
-    });
     c.bench_function(&format!("interp/{name}/group"), |b| {
         b.iter(|| {
             reset_lanes(&mut ctxs);
@@ -149,9 +101,9 @@ fn bench_pair(c: &mut Criterion, name: &str, source: &str) {
 }
 
 fn interp_benches(c: &mut Criterion) {
-    bench_pair(c, "alu-loop", ALU_LOOP);
-    bench_pair(c, "strided-vector-load", STRIDED_VECTOR_LOAD);
-    bench_pair(c, "divergent-branch", DIVERGENT_BRANCH);
+    bench_kernel(c, "alu-loop", ALU_LOOP);
+    bench_kernel(c, "strided-vector-load", STRIDED_VECTOR_LOAD);
+    bench_kernel(c, "divergent-branch", DIVERGENT_BRANCH);
 }
 
 criterion_group!(benches, interp_benches);

@@ -953,7 +953,11 @@ fn parse_vector(m: &str, ops: Vec<String>, ln: usize) -> Result<Instr, AsmError>
                     "xor" => AmoOp::Xor,
                     other => return err(ln, format!("unsupported vector AMO `{other}`")),
                 };
-                let eew = sew_from_suffix(&body[pos + 2..], ln)?;
+                // AMOs are 32- or 64-bit wide, as for the scalar `.w`/`.d`.
+                let eew = match sew_from_suffix(&body[pos + 2..], ln)? {
+                    eew @ (Sew::E32 | Sew::E64) => eew,
+                    _ => return err(ln, format!("vector AMO width must be ei32 or ei64: `{m}`")),
+                };
                 need(3)?;
                 let (off, rs1) = mem_operand(&ops[1], ln)?;
                 if off != 0 {
@@ -1311,6 +1315,18 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn vector_amo_rejects_narrow_element_widths() {
+        for eew in ["8", "16"] {
+            let e = assemble(&format!("nop\nvamoswapei{eew}.v v1, (a0), v2")).unwrap_err();
+            assert_eq!(e.line, 2);
+            assert!(e.message.contains("ei32 or ei64"), "{}", e.message);
+        }
+        for eew in ["32", "64"] {
+            assemble(&format!("vamoswapei{eew}.v v1, (a0), v2")).unwrap();
+        }
     }
 
     #[test]

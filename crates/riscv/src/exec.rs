@@ -1,14 +1,19 @@
 //! Functional execution of NDP kernel instructions.
 //!
-//! [`step`] executes one instruction of a [`Program`] against a µthread's
-//! [`ThreadCtx`] and a [`MemIface`], returning an [`Effect`] that tells the
-//! timing layer which functional unit the instruction occupies and which
-//! memory operations it performed. Execution is *functional at issue*: data
-//! values are read/written immediately, while the timing model separately
-//! delays the µthread until the modeled memory responses return (§III-E —
-//! µthreads execute their instructions serially, so no intra-thread
-//! reordering can observe the difference; inter-thread atomics linearize in
-//! issue order).
+//! One private function, `exec`, defines what every instruction does to a
+//! µthread's [`ThreadCtx`] and a [`MemIface`]. It returns an
+//! [`EffectClass`] that tells the timing layer which latency class to
+//! charge, and writes the memory operations it performed into an
+//! [`EffectBuf`]. Two entry points call it: [`step`] runs one µthread one
+//! instruction (the per-lane reference), and [`step_group`] fetches once
+//! and runs every lane of a SIMT group parked at the same pc (the engine's
+//! issue path).
+//!
+//! Execution is *functional at issue*: data values are read/written
+//! immediately, while the timing model separately delays the µthread until
+//! the modeled memory responses return (§III-E — µthreads execute their
+//! instructions serially, so no intra-thread reordering can observe the
+//! difference; inter-thread atomics linearize in issue order).
 //!
 //! Jump/branch targets are instruction indices; "byte" code addresses used
 //! by `jal`/`jalr` link values are `index * 4`. A `jalr` whose computed
@@ -114,63 +119,9 @@ pub struct MemOp {
     pub amo: bool,
 }
 
-/// Which functional unit an instruction occupies, plus its memory behaviour.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Effect {
-    /// Scalar integer ALU (1-cycle class).
-    Alu,
-    /// Scalar multiplier.
-    Mul,
-    /// Scalar divider (long latency).
-    Div,
-    /// Scalar FP add/mul/fma class.
-    FpAlu,
-    /// Scalar special-function (sqrt, exp, fdiv).
-    Sfu,
-    /// Branch/jump (scalar ALU class, may redirect fetch).
-    Branch,
-    /// Scalar memory operation (via the scalar LSU).
-    Mem(MemOp),
-    /// Vector integer ALU.
-    VAlu,
-    /// Vector FP ALU (includes fma).
-    VFpu,
-    /// Vector special-function (vfdiv, vfexp).
-    VSfu,
-    /// Vector memory operation (via the vector LSU); one entry per element
-    /// group actually accessed.
-    VMem(Vec<MemOp>),
-    /// vsetvli and register moves: scalar ALU class.
-    VCtl,
-    /// The µthread terminated.
-    Halted,
-}
-
-impl Effect {
-    /// This effect's payload-free classification — what the timing layer
-    /// keys latency and functional-unit accounting on.
-    pub fn class(&self) -> EffectClass {
-        match self {
-            Effect::Alu => EffectClass::Alu,
-            Effect::Mul => EffectClass::Mul,
-            Effect::Div => EffectClass::Div,
-            Effect::FpAlu => EffectClass::FpAlu,
-            Effect::Sfu => EffectClass::Sfu,
-            Effect::Branch => EffectClass::Branch,
-            Effect::Mem(_) => EffectClass::Mem,
-            Effect::VAlu => EffectClass::VAlu,
-            Effect::VFpu => EffectClass::VFpu,
-            Effect::VSfu => EffectClass::VSfu,
-            Effect::VMem(_) => EffectClass::VMem,
-            Effect::VCtl => EffectClass::VCtl,
-            Effect::Halted => EffectClass::Halted,
-        }
-    }
-}
-
-/// The [`Effect`] discriminant without payloads: a `Copy` classification of
-/// which functional unit an instruction occupies. Memory operands travel
-/// separately through an [`EffectBuf`], so reporting a group's effect never
+/// Which latency class an executed instruction falls in; the timing layer
+/// keys latency and functional-unit accounting on it. Memory operands
+/// travel separately through an [`EffectBuf`], so reporting an effect never
 /// allocates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EffectClass {
@@ -202,9 +153,9 @@ pub enum EffectClass {
     Halted,
 }
 
-/// Reusable scratch that collects the memory operations of one group issue.
+/// Reusable scratch that collects the memory operations of one issue.
 ///
-/// [`step_group`] clears and refills it per call; the engine owns one
+/// [`step`] and [`step_group`] clear and refill it per call; the engine owns one
 /// buffer and reuses it across issues, so the steady-state issue path
 /// performs no heap allocation (the capacity grows to the widest group
 /// once and then sticks).
@@ -224,8 +175,8 @@ impl EffectBuf {
         self.memops.clear();
     }
 
-    /// The memory operations recorded by the last [`step_group`] call, in
-    /// lane order (atomics linearize in issue order, so order matters).
+    /// The memory operations recorded by the last [`step`] or
+    /// [`step_group`] call, in lane order (atomics linearize in issue order, so order matters).
     pub fn memops(&self) -> &[MemOp] {
         &self.memops
     }
@@ -235,15 +186,15 @@ impl EffectBuf {
     }
 }
 
-/// Result of one group issue: the group's effect class (from the first
-/// lane that executed, `None` when every participating lane faulted) and
-/// how many lanes participated.
+/// Result of one group issue: the group's effect class and how many lanes
+/// participated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupStep {
-    /// Effect class of the first successfully executed lane.
+    /// Effect class of the first participating lane; `None` when no lane
+    /// executed (none participated, or the fetch ran off the program).
     pub effect: Option<EffectClass>,
-    /// Number of lanes that participated (including faulted lanes, which
-    /// are marked done — they still occupied the issue slot).
+    /// Number of lanes that participated (including lanes that ran off the
+    /// program, which are marked done — they still occupied the issue slot).
     pub lanes: u32,
 }
 
@@ -424,31 +375,87 @@ fn f_bits(val: f64, p: Precision) -> u64 {
 
 /// Executes the instruction at `ctx.pc`, advancing the context.
 ///
+/// This is the per-lane entry point and the reference the group path is
+/// checked against: it clears `buf`, fills it with the instruction's
+/// memory operations, and returns the instruction's [`EffectClass`].
+///
 /// # Errors
 /// Returns [`ExecError::PcOutOfRange`] if the pc walks off the program and
 /// [`ExecError::AlreadyDone`] if called on a finished µthread.
-#[allow(clippy::too_many_lines)]
 pub fn step(
     ctx: &mut ThreadCtx,
     prog: &Program,
     mem: &mut dyn MemIface,
-) -> Result<Effect, ExecError> {
+    buf: &mut EffectBuf,
+) -> Result<EffectClass, ExecError> {
     if ctx.done {
         return Err(ExecError::AlreadyDone);
     }
     let Some(instr) = prog.fetch(ctx.pc) else {
         return Err(ExecError::PcOutOfRange { pc: ctx.pc });
     };
+    buf.clear();
+    Ok(exec(ctx, instr, mem, buf))
+}
+
+/// Executes one SIMT group issue: every non-done lane whose pc equals
+/// `min_pc` executes the instruction at `min_pc`, in slot order.
+///
+/// The instruction is fetched once; each participating lane then runs it
+/// through the same executor as [`step`], so the group path and per-lane
+/// `step` share one definition of the ISA. Memory operations are appended
+/// to `buf` in lane order (atomics linearize in issue order), and the
+/// returned [`GroupStep`] carries the first lane's effect class. A fetch
+/// past the end of the program marks every participating lane done, as
+/// the engine treats a per-lane [`ExecError::PcOutOfRange`].
+pub fn step_group(
+    ctxs: &mut [ThreadCtx],
+    min_pc: usize,
+    prog: &Program,
+    mem: &mut dyn MemIface,
+    buf: &mut EffectBuf,
+) -> GroupStep {
+    buf.clear();
+    let instr = prog.fetch(min_pc);
+    let mut effect = None;
+    let mut lanes = 0u32;
+    for ctx in ctxs.iter_mut() {
+        if ctx.done || ctx.pc != min_pc {
+            continue;
+        }
+        lanes += 1;
+        match instr {
+            Some(instr) => {
+                let class = exec(ctx, instr, mem, buf);
+                effect.get_or_insert(class);
+            }
+            None => ctx.done = true,
+        }
+    }
+    GroupStep { effect, lanes }
+}
+
+/// The ISA: executes `instr` on one lane, appending its memory operations
+/// to `buf`, and returns its effect class. Inlined into both callers so
+/// the group loop pays no call per lane.
+#[inline(always)]
+#[allow(clippy::too_many_lines)]
+fn exec(
+    ctx: &mut ThreadCtx,
+    instr: &Instr,
+    mem: &mut dyn MemIface,
+    buf: &mut EffectBuf,
+) -> EffectClass {
     let mut next_pc = ctx.pc + 1;
 
     let effect = match instr {
         Instr::Li { rd, imm } => {
             ctx.write_x(*rd, *imm as u64);
-            Effect::Alu
+            EffectClass::Alu
         }
         Instr::Lui { rd, imm } => {
             ctx.write_x(*rd, (*imm as u64).wrapping_shl(12));
-            Effect::Alu
+            EffectClass::Alu
         }
         Instr::Op { op, rd, rs1, rs2 } => {
             let a = ctx.x[*rs1 as usize];
@@ -456,18 +463,18 @@ pub fn step(
             ctx.write_x(*rd, int_op(*op, a, b));
             if op.is_muldiv() {
                 if matches!(op, IntOp::Mul | IntOp::Mulh) {
-                    Effect::Mul
+                    EffectClass::Mul
                 } else {
-                    Effect::Div
+                    EffectClass::Div
                 }
             } else {
-                Effect::Alu
+                EffectClass::Alu
             }
         }
         Instr::OpImm { op, rd, rs1, imm } => {
             let a = ctx.x[*rs1 as usize];
             ctx.write_x(*rd, int_op(*op, a, *imm as u64));
-            Effect::Alu
+            EffectClass::Alu
         }
         Instr::Load {
             width,
@@ -478,9 +485,9 @@ pub fn step(
         } => {
             let addr = ctx.x[*rs1 as usize].wrapping_add(*offset as u64);
             let bytes = width.bytes();
-            let mut buf = [0u8; 8];
-            mem.load(addr, &mut buf[..bytes as usize]);
-            let raw = u64::from_le_bytes(buf);
+            let mut data = [0u8; 8];
+            mem.load(addr, &mut data[..bytes as usize]);
+            let raw = u64::from_le_bytes(data);
             let val = if *signed {
                 match width {
                     Width::B => raw as u8 as i8 as i64 as u64,
@@ -492,12 +499,13 @@ pub fn step(
                 raw
             };
             ctx.write_x(*rd, val);
-            Effect::Mem(MemOp {
+            buf.push(MemOp {
                 addr,
                 bytes,
                 write: false,
                 amo: false,
-            })
+            });
+            EffectClass::Mem
         }
         Instr::Store {
             width,
@@ -509,12 +517,13 @@ pub fn step(
             let bytes = width.bytes();
             let data = ctx.x[*rs2 as usize].to_le_bytes();
             mem.store(addr, &data[..bytes as usize]);
-            Effect::Mem(MemOp {
+            buf.push(MemOp {
                 addr,
                 bytes,
                 write: true,
                 amo: false,
-            })
+            });
+            EffectClass::Mem
         }
         Instr::Branch {
             cond,
@@ -535,12 +544,12 @@ pub fn step(
             if taken {
                 next_pc = *target;
             }
-            Effect::Branch
+            EffectClass::Branch
         }
         Instr::Jal { rd, target } => {
             ctx.write_x(*rd, (ctx.pc as u64 + 1) * 4);
             next_pc = *target;
-            Effect::Branch
+            EffectClass::Branch
         }
         Instr::Jalr { rd, rs1, offset } => {
             let target_bytes = ctx.x[*rs1 as usize].wrapping_add(*offset as u64);
@@ -548,10 +557,10 @@ pub fn step(
             if target_bytes == 0 {
                 // Top-level `ret` (ra still 0 from spawn): terminate.
                 ctx.done = true;
-                return Ok(Effect::Halted);
+                return EffectClass::Halted;
             }
             next_pc = (target_bytes / 4) as usize;
-            Effect::Branch
+            EffectClass::Branch
         }
         Instr::Amo {
             op,
@@ -563,17 +572,18 @@ pub fn step(
             let addr = ctx.x[*rs1 as usize];
             let old = mem.amo(*op, *width, addr, ctx.x[*rs2 as usize]);
             ctx.write_x(*rd, old);
-            Effect::Mem(MemOp {
+            buf.push(MemOp {
                 addr,
                 bytes: width.bytes(),
                 write: true,
                 amo: true,
-            })
+            });
+            EffectClass::Mem
         }
-        Instr::Fence => Effect::Alu,
+        Instr::Fence => EffectClass::Alu,
         Instr::Halt => {
             ctx.done = true;
-            return Ok(Effect::Halted);
+            return EffectClass::Halted;
         }
 
         // ----- scalar float -----
@@ -585,15 +595,16 @@ pub fn step(
         } => {
             let addr = ctx.x[*rs1 as usize].wrapping_add(*offset as u64);
             let bytes = precision.bytes();
-            let mut buf = [0u8; 8];
-            mem.load(addr, &mut buf[..bytes as usize]);
-            ctx.f[*rd as usize] = u64::from_le_bytes(buf);
-            Effect::Mem(MemOp {
+            let mut data = [0u8; 8];
+            mem.load(addr, &mut data[..bytes as usize]);
+            ctx.f[*rd as usize] = u64::from_le_bytes(data);
+            buf.push(MemOp {
                 addr,
                 bytes,
                 write: false,
                 amo: false,
-            })
+            });
+            EffectClass::Mem
         }
         Instr::FStore {
             precision,
@@ -605,12 +616,13 @@ pub fn step(
             let bytes = precision.bytes();
             let data = ctx.f[*rs2 as usize].to_le_bytes();
             mem.store(addr, &data[..bytes as usize]);
-            Effect::Mem(MemOp {
+            buf.push(MemOp {
                 addr,
                 bytes,
                 write: true,
                 amo: false,
-            })
+            });
+            EffectClass::Mem
         }
         Instr::FOp {
             op,
@@ -622,23 +634,23 @@ pub fn step(
             let a = f_scalar(ctx.f[*rs1 as usize], *precision);
             let b = f_scalar(ctx.f[*rs2 as usize], *precision);
             let (result, effect) = match op {
-                FpOp::Add => (a + b, Effect::FpAlu),
-                FpOp::Sub => (a - b, Effect::FpAlu),
-                FpOp::Mul => (a * b, Effect::FpAlu),
-                FpOp::Div => (a / b, Effect::Sfu),
-                FpOp::Min => (a.min(b), Effect::FpAlu),
-                FpOp::Max => (a.max(b), Effect::FpAlu),
-                FpOp::Sqrt => (a.sqrt(), Effect::Sfu),
-                FpOp::Exp => (a.exp(), Effect::Sfu),
-                FpOp::Sgnj => (a.abs().copysign(b), Effect::FpAlu),
-                FpOp::Sgnjn => (a.abs().copysign(-b), Effect::FpAlu),
+                FpOp::Add => (a + b, EffectClass::FpAlu),
+                FpOp::Sub => (a - b, EffectClass::FpAlu),
+                FpOp::Mul => (a * b, EffectClass::FpAlu),
+                FpOp::Div => (a / b, EffectClass::Sfu),
+                FpOp::Min => (a.min(b), EffectClass::FpAlu),
+                FpOp::Max => (a.max(b), EffectClass::FpAlu),
+                FpOp::Sqrt => (a.sqrt(), EffectClass::Sfu),
+                FpOp::Exp => (a.exp(), EffectClass::Sfu),
+                FpOp::Sgnj => (a.abs().copysign(b), EffectClass::FpAlu),
+                FpOp::Sgnjn => (a.abs().copysign(-b), EffectClass::FpAlu),
                 FpOp::Sgnjx => {
                     let sign = if (a.is_sign_negative()) ^ (b.is_sign_negative()) {
                         -1.0
                     } else {
                         1.0
                     };
-                    (a.abs().copysign(sign), Effect::FpAlu)
+                    (a.abs().copysign(sign), EffectClass::FpAlu)
                 }
             };
             ctx.f[*rd as usize] = f_bits(result, *precision);
@@ -655,7 +667,7 @@ pub fn step(
             let b = f_scalar(ctx.f[*rs2 as usize], *precision);
             let c = f_scalar(ctx.f[*rs3 as usize], *precision);
             ctx.f[*rd as usize] = f_bits(a * b + c, *precision);
-            Effect::FpAlu
+            EffectClass::FpAlu
         }
         Instr::FCmp {
             op,
@@ -672,7 +684,7 @@ pub fn step(
                 FCmpOp::Le => a <= b,
             };
             ctx.write_x(*rd, r as u64);
-            Effect::FpAlu
+            EffectClass::FpAlu
         }
         Instr::FCvtFromInt {
             precision,
@@ -683,7 +695,7 @@ pub fn step(
             let x = ctx.x[*rs1 as usize];
             let val = if *signed { x as i64 as f64 } else { x as f64 };
             ctx.f[*rd as usize] = f_bits(val, *precision);
-            Effect::FpAlu
+            EffectClass::FpAlu
         }
         Instr::FCvtToInt {
             precision,
@@ -698,7 +710,7 @@ pub fn step(
                 val.trunc() as u64
             };
             ctx.write_x(*rd, out);
-            Effect::FpAlu
+            EffectClass::FpAlu
         }
         Instr::FMvToInt { precision, rd, rs1 } => {
             let bits = ctx.f[*rs1 as usize];
@@ -707,7 +719,7 @@ pub fn step(
                 Precision::D => bits,
             };
             ctx.write_x(*rd, v);
-            Effect::Alu
+            EffectClass::Alu
         }
         Instr::FMvFromInt { precision, rd, rs1 } => {
             let bits = ctx.x[*rs1 as usize];
@@ -715,7 +727,7 @@ pub fn step(
                 Precision::S => bits & 0xFFFF_FFFF,
                 Precision::D => bits,
             };
-            Effect::Alu
+            EffectClass::Alu
         }
         Instr::FCvtPrec { to, rd, rs1 } => {
             let from = match to {
@@ -724,7 +736,7 @@ pub fn step(
             };
             let val = f_scalar(ctx.f[*rs1 as usize], from);
             ctx.f[*rd as usize] = f_bits(val, *to);
-            Effect::FpAlu
+            EffectClass::FpAlu
         }
 
         // ----- vector -----
@@ -738,7 +750,7 @@ pub fn step(
             ctx.vl = requested;
             ctx.sew = *sew;
             ctx.write_x(*rd, requested as u64);
-            Effect::VCtl
+            EffectClass::VCtl
         }
         Instr::VLoad {
             eew,
@@ -750,17 +762,14 @@ pub fn step(
             let base = ctx.x[*rs1 as usize];
             let eb = eew.bytes();
             let vl = effective_vl(ctx, *eew);
-            let mut memops = Vec::new();
             let mut out = ctx.v[*vd as usize];
             match mode {
                 VAddrMode::Unit => {
                     if !*masked {
                         // Whole-group contiguous access.
                         let total = vl * eb;
-                        let mut buf = vec![0u8; total as usize];
-                        mem.load(base, &mut buf);
-                        out[..total as usize].copy_from_slice(&buf);
-                        memops.push(MemOp {
+                        mem.load(base, &mut out[..total as usize]);
+                        buf.push(MemOp {
                             addr: base,
                             bytes: total,
                             write: false,
@@ -772,10 +781,10 @@ pub fn step(
                                 continue;
                             }
                             let addr = base.wrapping_add(i as u64 * eb as u64);
-                            let mut buf = [0u8; 8];
-                            mem.load(addr, &mut buf[..eb as usize]);
-                            set_elem(&mut out, i, *eew, u64::from_le_bytes(buf));
-                            memops.push(MemOp {
+                            let mut data = [0u8; 8];
+                            mem.load(addr, &mut data[..eb as usize]);
+                            set_elem(&mut out, i, *eew, u64::from_le_bytes(data));
+                            buf.push(MemOp {
                                 addr,
                                 bytes: eb,
                                 write: false,
@@ -791,10 +800,10 @@ pub fn step(
                             continue;
                         }
                         let addr = base.wrapping_add(stride.wrapping_mul(i as u64));
-                        let mut buf = [0u8; 8];
-                        mem.load(addr, &mut buf[..eb as usize]);
-                        set_elem(&mut out, i, *eew, u64::from_le_bytes(buf));
-                        memops.push(MemOp {
+                        let mut data = [0u8; 8];
+                        mem.load(addr, &mut data[..eb as usize]);
+                        set_elem(&mut out, i, *eew, u64::from_le_bytes(data));
+                        buf.push(MemOp {
                             addr,
                             bytes: eb,
                             write: false,
@@ -809,10 +818,10 @@ pub fn step(
                             continue;
                         }
                         let addr = base.wrapping_add(get_elem(&idx, i, *eew));
-                        let mut buf = [0u8; 8];
-                        mem.load(addr, &mut buf[..eb as usize]);
-                        set_elem(&mut out, i, *eew, u64::from_le_bytes(buf));
-                        memops.push(MemOp {
+                        let mut data = [0u8; 8];
+                        mem.load(addr, &mut data[..eb as usize]);
+                        set_elem(&mut out, i, *eew, u64::from_le_bytes(data));
+                        buf.push(MemOp {
                             addr,
                             bytes: eb,
                             write: false,
@@ -822,7 +831,7 @@ pub fn step(
                 }
             }
             ctx.v[*vd as usize] = out;
-            Effect::VMem(memops)
+            EffectClass::VMem
         }
         Instr::VStore {
             eew,
@@ -835,12 +844,11 @@ pub fn step(
             let eb = eew.bytes();
             let vl = effective_vl(ctx, *eew);
             let src = ctx.v[*vs3 as usize];
-            let mut memops = Vec::new();
             match mode {
                 VAddrMode::Unit if !*masked => {
                     let total = vl * eb;
                     mem.store(base, &src[..total as usize]);
-                    memops.push(MemOp {
+                    buf.push(MemOp {
                         addr: base,
                         bytes: total,
                         write: true,
@@ -855,7 +863,7 @@ pub fn step(
                         let addr = base.wrapping_add(i as u64 * eb as u64);
                         let val = get_elem(&src, i, *eew).to_le_bytes();
                         mem.store(addr, &val[..eb as usize]);
-                        memops.push(MemOp {
+                        buf.push(MemOp {
                             addr,
                             bytes: eb,
                             write: true,
@@ -872,7 +880,7 @@ pub fn step(
                         let addr = base.wrapping_add(stride.wrapping_mul(i as u64));
                         let val = get_elem(&src, i, *eew).to_le_bytes();
                         mem.store(addr, &val[..eb as usize]);
-                        memops.push(MemOp {
+                        buf.push(MemOp {
                             addr,
                             bytes: eb,
                             write: true,
@@ -889,7 +897,7 @@ pub fn step(
                         let addr = base.wrapping_add(get_elem(&idx, i, *eew));
                         let val = get_elem(&src, i, *eew).to_le_bytes();
                         mem.store(addr, &val[..eb as usize]);
-                        memops.push(MemOp {
+                        buf.push(MemOp {
                             addr,
                             bytes: eb,
                             write: true,
@@ -898,7 +906,7 @@ pub fn step(
                     }
                 }
             }
-            Effect::VMem(memops)
+            EffectClass::VMem
         }
         Instr::VIntOp {
             op,
@@ -932,7 +940,7 @@ pub fn step(
                 set_elem(&mut out, i, sew, val);
             }
             ctx.v[*vd as usize] = out;
-            Effect::VAlu
+            EffectClass::VAlu
         }
         Instr::VFpOp {
             op,
@@ -965,8 +973,8 @@ pub fn step(
             }
             ctx.v[*vd as usize] = out;
             match op {
-                VFpOp::Div | VFpOp::Exp => Effect::VSfu,
-                _ => Effect::VFpu,
+                VFpOp::Div | VFpOp::Exp => EffectClass::VSfu,
+                _ => EffectClass::VFpu,
             }
         }
         Instr::VRed { op, vd, vs2, vs1 } => {
@@ -1002,7 +1010,7 @@ pub fn step(
                 }
             }
             ctx.v[*vd as usize] = out;
-            Effect::VFpu
+            EffectClass::VFpu
         }
         Instr::VCmp {
             op,
@@ -1042,7 +1050,7 @@ pub fn step(
                 set_mask_bit(&mut out, i, taken);
             }
             ctx.v[*vd as usize] = out;
-            Effect::VAlu
+            EffectClass::VAlu
         }
         Instr::VMv { vd, operand } => {
             let vl = ctx.vl as usize;
@@ -1067,18 +1075,18 @@ pub fn step(
                 }
             }
             ctx.v[*vd as usize] = out;
-            Effect::VCtl
+            EffectClass::VCtl
         }
         Instr::VMvToScalar { rd, vs2 } => {
             let val = get_elem(&ctx.v[*vs2 as usize], 0, ctx.sew);
             ctx.write_x(*rd, val);
-            Effect::VCtl
+            EffectClass::VCtl
         }
         Instr::VMvFromScalar { vd, rs1 } => {
             let val = ctx.x[*rs1 as usize];
             let sew = ctx.sew;
             set_elem(&mut ctx.v[*vd as usize], 0, sew, val);
-            Effect::VCtl
+            EffectClass::VCtl
         }
         Instr::VFMvToScalar { rd, vs2 } => {
             let sew = ctx.sew;
@@ -1086,7 +1094,7 @@ pub fn step(
                 Sew::E32 => get_elem(&ctx.v[*vs2 as usize], 0, sew) & 0xFFFF_FFFF,
                 _ => get_elem(&ctx.v[*vs2 as usize], 0, Sew::E64),
             };
-            Effect::VCtl
+            EffectClass::VCtl
         }
         Instr::Vid { vd, masked } => {
             let vl = ctx.vl as usize;
@@ -1099,7 +1107,7 @@ pub fn step(
                 set_elem(&mut out, i, sew, i as u64);
             }
             ctx.v[*vd as usize] = out;
-            Effect::VAlu
+            EffectClass::VAlu
         }
         Instr::VMerge { vd, vs2, operand } => {
             let vl = ctx.vl as usize;
@@ -1115,7 +1123,7 @@ pub fn step(
                 set_elem(&mut out, i, sew, val);
             }
             ctx.v[*vd as usize] = out;
-            Effect::VAlu
+            EffectClass::VAlu
         }
         Instr::VSlidedown { vd, vs2, operand } => {
             let vl = ctx.vl as usize;
@@ -1133,7 +1141,7 @@ pub fn step(
                 set_elem(&mut out, i, sew, val);
             }
             ctx.v[*vd as usize] = out;
-            Effect::VAlu
+            EffectClass::VAlu
         }
         Instr::VAmo {
             op,
@@ -1146,11 +1154,11 @@ pub fn step(
             let base = ctx.x[*rs1 as usize];
             let eb = eew.bytes();
             let vl = effective_vl(ctx, *eew);
+            // The assembler admits only ei32 and ei64 vector AMOs.
             let width = if eb == 4 { Width::W } else { Width::D };
             let idx = ctx.v[*vs2 as usize];
             let src = ctx.v[*vd as usize];
             let mut out = src;
-            let mut memops = Vec::new();
             for i in 0..vl as usize {
                 if *masked && !mask_bit(&ctx.v[0], i) {
                     continue;
@@ -1158,7 +1166,7 @@ pub fn step(
                 let addr = base.wrapping_add(get_elem(&idx, i, *eew));
                 let old = mem.amo(*op, width, addr, get_elem(&src, i, *eew));
                 set_elem(&mut out, i, *eew, old);
-                memops.push(MemOp {
+                buf.push(MemOp {
                     addr,
                     bytes: eb,
                     write: true,
@@ -1166,646 +1174,12 @@ pub fn step(
                 });
             }
             ctx.v[*vd as usize] = out;
-            Effect::VMem(memops)
+            EffectClass::VMem
         }
     };
 
     ctx.pc = next_pc;
-    Ok(effect)
-}
-
-/// Executes one SIMT group issue: every non-done lane whose pc equals
-/// `min_pc` executes the instruction at `min_pc`.
-///
-/// The instruction is fetched and matched **once** per group; each opcode
-/// then runs a tight per-lane loop (the engine's issue loop previously
-/// called [`step`] once per lane, re-matching the 37-variant instruction
-/// enum every time and allocating a fresh `Vec` for every vector memory
-/// effect). Memory operations are appended to `buf` in lane order —
-/// identical to concatenating the per-lane [`Effect`] payloads, which
-/// matters because atomics linearize in issue order — and the returned
-/// [`GroupStep`] carries the first executed lane's effect class.
-///
-/// Semantics are bit-for-bit those of calling [`step`] on each
-/// participating lane in slot order: `step` stays in-tree as the
-/// reference implementation, cold opcodes delegate to it directly, and
-/// `tests/asm_roundtrip.rs` drives both paths in lockstep over generated
-/// programs and the kernel corpus. A fetch past the end of the program
-/// marks every participating lane done, exactly as the engine treated
-/// per-lane [`ExecError::PcOutOfRange`].
-#[allow(clippy::too_many_lines)]
-pub fn step_group(
-    ctxs: &mut [ThreadCtx],
-    min_pc: usize,
-    prog: &Program,
-    mem: &mut dyn MemIface,
-    buf: &mut EffectBuf,
-) -> GroupStep {
-    buf.clear();
-    let mut lanes = 0u32;
-    let mut first: Option<EffectClass> = None;
-
-    // Per-lane loop over the participating (non-done, pc-matching) lanes.
-    macro_rules! lanes_do {
-        ($ctx:ident => $body:block) => {
-            for $ctx in ctxs.iter_mut() {
-                if $ctx.done || $ctx.pc != min_pc {
-                    continue;
-                }
-                lanes += 1;
-                $body
-            }
-        };
-    }
-
-    let Some(instr) = prog.fetch(min_pc) else {
-        lanes_do!(ctx => {
-            ctx.done = true;
-        });
-        return GroupStep {
-            effect: None,
-            lanes,
-        };
-    };
-
-    // `Some(class)` = uniform class for every lane of this opcode, recorded
-    // after the loop; `None` = the arm assigned `first` itself (divergent
-    // classes or delegation to the reference `step`).
-    let static_class: Option<EffectClass> = match instr {
-        Instr::Li { rd, imm } => {
-            let (rd, imm) = (*rd, *imm);
-            lanes_do!(ctx => {
-                ctx.write_x(rd, imm as u64);
-                ctx.pc += 1;
-            });
-            Some(EffectClass::Alu)
-        }
-        Instr::Lui { rd, imm } => {
-            let (rd, imm) = (*rd, *imm);
-            lanes_do!(ctx => {
-                ctx.write_x(rd, (imm as u64).wrapping_shl(12));
-                ctx.pc += 1;
-            });
-            Some(EffectClass::Alu)
-        }
-        Instr::Op { op, rd, rs1, rs2 } => {
-            let (op, rd, rs1, rs2) = (*op, *rd, *rs1 as usize, *rs2 as usize);
-            lanes_do!(ctx => {
-                let a = ctx.x[rs1];
-                let b = ctx.x[rs2];
-                ctx.write_x(rd, int_op(op, a, b));
-                ctx.pc += 1;
-            });
-            Some(if op.is_muldiv() {
-                if matches!(op, IntOp::Mul | IntOp::Mulh) {
-                    EffectClass::Mul
-                } else {
-                    EffectClass::Div
-                }
-            } else {
-                EffectClass::Alu
-            })
-        }
-        Instr::OpImm { op, rd, rs1, imm } => {
-            let (op, rd, rs1, imm) = (*op, *rd, *rs1 as usize, *imm);
-            lanes_do!(ctx => {
-                let a = ctx.x[rs1];
-                ctx.write_x(rd, int_op(op, a, imm as u64));
-                ctx.pc += 1;
-            });
-            Some(EffectClass::Alu)
-        }
-        Instr::Load {
-            width,
-            signed,
-            rd,
-            rs1,
-            offset,
-        } => {
-            let (width, signed, rd, rs1, offset) = (*width, *signed, *rd, *rs1 as usize, *offset);
-            let bytes = width.bytes();
-            lanes_do!(ctx => {
-                let addr = ctx.x[rs1].wrapping_add(offset as u64);
-                let mut lbuf = [0u8; 8];
-                mem.load(addr, &mut lbuf[..bytes as usize]);
-                let raw = u64::from_le_bytes(lbuf);
-                let val = if signed {
-                    match width {
-                        Width::B => raw as u8 as i8 as i64 as u64,
-                        Width::H => raw as u16 as i16 as i64 as u64,
-                        Width::W => raw as u32 as i32 as i64 as u64,
-                        Width::D => raw,
-                    }
-                } else {
-                    raw
-                };
-                ctx.write_x(rd, val);
-                buf.push(MemOp {
-                    addr,
-                    bytes,
-                    write: false,
-                    amo: false,
-                });
-                ctx.pc += 1;
-            });
-            Some(EffectClass::Mem)
-        }
-        Instr::Store {
-            width,
-            rs2,
-            rs1,
-            offset,
-        } => {
-            let (width, rs2, rs1, offset) = (*width, *rs2 as usize, *rs1 as usize, *offset);
-            let bytes = width.bytes();
-            lanes_do!(ctx => {
-                let addr = ctx.x[rs1].wrapping_add(offset as u64);
-                let data = ctx.x[rs2].to_le_bytes();
-                mem.store(addr, &data[..bytes as usize]);
-                buf.push(MemOp {
-                    addr,
-                    bytes,
-                    write: true,
-                    amo: false,
-                });
-                ctx.pc += 1;
-            });
-            Some(EffectClass::Mem)
-        }
-        Instr::Branch {
-            cond,
-            rs1,
-            rs2,
-            target,
-        } => {
-            let (cond, rs1, rs2, target) = (*cond, *rs1 as usize, *rs2 as usize, *target);
-            lanes_do!(ctx => {
-                let a = ctx.x[rs1];
-                let b = ctx.x[rs2];
-                let taken = match cond {
-                    BranchCond::Eq => a == b,
-                    BranchCond::Ne => a != b,
-                    BranchCond::Lt => (a as i64) < (b as i64),
-                    BranchCond::Ge => (a as i64) >= (b as i64),
-                    BranchCond::Ltu => a < b,
-                    BranchCond::Geu => a >= b,
-                };
-                ctx.pc = if taken { target } else { ctx.pc + 1 };
-            });
-            Some(EffectClass::Branch)
-        }
-        Instr::Jal { rd, target } => {
-            let (rd, target) = (*rd, *target);
-            lanes_do!(ctx => {
-                ctx.write_x(rd, (ctx.pc as u64 + 1) * 4);
-                ctx.pc = target;
-            });
-            Some(EffectClass::Branch)
-        }
-        Instr::Jalr { rd, rs1, offset } => {
-            let (rd, rs1, offset) = (*rd, *rs1 as usize, *offset);
-            // Divergent classes: a lane whose target is byte address 0
-            // terminates (top-level `ret`), the others branch.
-            lanes_do!(ctx => {
-                let target_bytes = ctx.x[rs1].wrapping_add(offset as u64);
-                ctx.write_x(rd, (ctx.pc as u64 + 1) * 4);
-                let lane_class = if target_bytes == 0 {
-                    ctx.done = true;
-                    EffectClass::Halted
-                } else {
-                    ctx.pc = (target_bytes / 4) as usize;
-                    EffectClass::Branch
-                };
-                if first.is_none() {
-                    first = Some(lane_class);
-                }
-            });
-            None
-        }
-        Instr::Amo {
-            op,
-            width,
-            rd,
-            rs2,
-            rs1,
-        } => {
-            let (op, width, rd, rs2, rs1) = (*op, *width, *rd, *rs2 as usize, *rs1 as usize);
-            lanes_do!(ctx => {
-                let addr = ctx.x[rs1];
-                let old = mem.amo(op, width, addr, ctx.x[rs2]);
-                ctx.write_x(rd, old);
-                buf.push(MemOp {
-                    addr,
-                    bytes: width.bytes(),
-                    write: true,
-                    amo: true,
-                });
-                ctx.pc += 1;
-            });
-            Some(EffectClass::Mem)
-        }
-        Instr::Fence => {
-            lanes_do!(ctx => {
-                ctx.pc += 1;
-            });
-            Some(EffectClass::Alu)
-        }
-        Instr::Halt => {
-            lanes_do!(ctx => {
-                ctx.done = true;
-            });
-            Some(EffectClass::Halted)
-        }
-        Instr::FLoad {
-            precision,
-            rd,
-            rs1,
-            offset,
-        } => {
-            let (precision, rd, rs1, offset) = (*precision, *rd as usize, *rs1 as usize, *offset);
-            let bytes = precision.bytes();
-            lanes_do!(ctx => {
-                let addr = ctx.x[rs1].wrapping_add(offset as u64);
-                let mut lbuf = [0u8; 8];
-                mem.load(addr, &mut lbuf[..bytes as usize]);
-                ctx.f[rd] = u64::from_le_bytes(lbuf);
-                buf.push(MemOp {
-                    addr,
-                    bytes,
-                    write: false,
-                    amo: false,
-                });
-                ctx.pc += 1;
-            });
-            Some(EffectClass::Mem)
-        }
-        Instr::FStore {
-            precision,
-            rs2,
-            rs1,
-            offset,
-        } => {
-            let (precision, rs2, rs1, offset) = (*precision, *rs2 as usize, *rs1 as usize, *offset);
-            let bytes = precision.bytes();
-            lanes_do!(ctx => {
-                let addr = ctx.x[rs1].wrapping_add(offset as u64);
-                let data = ctx.f[rs2].to_le_bytes();
-                mem.store(addr, &data[..bytes as usize]);
-                buf.push(MemOp {
-                    addr,
-                    bytes,
-                    write: true,
-                    amo: false,
-                });
-                ctx.pc += 1;
-            });
-            Some(EffectClass::Mem)
-        }
-        Instr::Vsetvli { rd, rs1, sew } => {
-            let (rd, rs1, sew) = (*rd, *rs1, *sew);
-            let max = (VLEN_BYTES as u32 * 8) / (sew.bytes() * 8);
-            lanes_do!(ctx => {
-                let requested = if rs1 == 0 {
-                    max
-                } else {
-                    (ctx.x[rs1 as usize] as u32).min(max)
-                };
-                ctx.vl = requested;
-                ctx.sew = sew;
-                ctx.write_x(rd, requested as u64);
-                ctx.pc += 1;
-            });
-            Some(EffectClass::VCtl)
-        }
-        Instr::VLoad {
-            eew,
-            vd,
-            rs1,
-            mode,
-            masked,
-        } => {
-            let (eew, vd, rs1, mode, masked) = (*eew, *vd as usize, *rs1 as usize, *mode, *masked);
-            let eb = eew.bytes();
-            lanes_do!(ctx => {
-                let base = ctx.x[rs1];
-                let vl = effective_vl(ctx, eew);
-                let mut out = ctx.v[vd];
-                match mode {
-                    VAddrMode::Unit => {
-                        if !masked {
-                            // Whole-group contiguous access; a VLEN-sized
-                            // stack buffer replaces `step`'s per-call heap
-                            // `Vec` (vsetvli clamps vl so `total` fits).
-                            let total = (vl * eb) as usize;
-                            let mut lbuf = [0u8; VLEN_BYTES];
-                            mem.load(base, &mut lbuf[..total]);
-                            out[..total].copy_from_slice(&lbuf[..total]);
-                            buf.push(MemOp {
-                                addr: base,
-                                bytes: vl * eb,
-                                write: false,
-                                amo: false,
-                            });
-                        } else {
-                            for i in 0..vl as usize {
-                                if !mask_bit(&ctx.v[0], i) {
-                                    continue;
-                                }
-                                let addr = base.wrapping_add(i as u64 * eb as u64);
-                                let mut lbuf = [0u8; 8];
-                                mem.load(addr, &mut lbuf[..eb as usize]);
-                                set_elem(&mut out, i, eew, u64::from_le_bytes(lbuf));
-                                buf.push(MemOp {
-                                    addr,
-                                    bytes: eb,
-                                    write: false,
-                                    amo: false,
-                                });
-                            }
-                        }
-                    }
-                    VAddrMode::Strided(rs2) => {
-                        let stride = ctx.x[rs2 as usize];
-                        for i in 0..vl as usize {
-                            if masked && !mask_bit(&ctx.v[0], i) {
-                                continue;
-                            }
-                            let addr = base.wrapping_add(stride.wrapping_mul(i as u64));
-                            let mut lbuf = [0u8; 8];
-                            mem.load(addr, &mut lbuf[..eb as usize]);
-                            set_elem(&mut out, i, eew, u64::from_le_bytes(lbuf));
-                            buf.push(MemOp {
-                                addr,
-                                bytes: eb,
-                                write: false,
-                                amo: false,
-                            });
-                        }
-                    }
-                    VAddrMode::Indexed(vs2) => {
-                        let idx = ctx.v[vs2 as usize];
-                        for i in 0..vl as usize {
-                            if masked && !mask_bit(&ctx.v[0], i) {
-                                continue;
-                            }
-                            let addr = base.wrapping_add(get_elem(&idx, i, eew));
-                            let mut lbuf = [0u8; 8];
-                            mem.load(addr, &mut lbuf[..eb as usize]);
-                            set_elem(&mut out, i, eew, u64::from_le_bytes(lbuf));
-                            buf.push(MemOp {
-                                addr,
-                                bytes: eb,
-                                write: false,
-                                amo: false,
-                            });
-                        }
-                    }
-                }
-                ctx.v[vd] = out;
-                ctx.pc += 1;
-            });
-            Some(EffectClass::VMem)
-        }
-        Instr::VStore {
-            eew,
-            vs3,
-            rs1,
-            mode,
-            masked,
-        } => {
-            let (eew, vs3, rs1, mode, masked) =
-                (*eew, *vs3 as usize, *rs1 as usize, *mode, *masked);
-            let eb = eew.bytes();
-            lanes_do!(ctx => {
-                let base = ctx.x[rs1];
-                let vl = effective_vl(ctx, eew);
-                let src = ctx.v[vs3];
-                match mode {
-                    VAddrMode::Unit if !masked => {
-                        let total = vl * eb;
-                        mem.store(base, &src[..total as usize]);
-                        buf.push(MemOp {
-                            addr: base,
-                            bytes: total,
-                            write: true,
-                            amo: false,
-                        });
-                    }
-                    VAddrMode::Unit => {
-                        for i in 0..vl as usize {
-                            if !mask_bit(&ctx.v[0], i) {
-                                continue;
-                            }
-                            let addr = base.wrapping_add(i as u64 * eb as u64);
-                            let val = get_elem(&src, i, eew).to_le_bytes();
-                            mem.store(addr, &val[..eb as usize]);
-                            buf.push(MemOp {
-                                addr,
-                                bytes: eb,
-                                write: true,
-                                amo: false,
-                            });
-                        }
-                    }
-                    VAddrMode::Strided(rs2) => {
-                        let stride = ctx.x[rs2 as usize];
-                        for i in 0..vl as usize {
-                            if masked && !mask_bit(&ctx.v[0], i) {
-                                continue;
-                            }
-                            let addr = base.wrapping_add(stride.wrapping_mul(i as u64));
-                            let val = get_elem(&src, i, eew).to_le_bytes();
-                            mem.store(addr, &val[..eb as usize]);
-                            buf.push(MemOp {
-                                addr,
-                                bytes: eb,
-                                write: true,
-                                amo: false,
-                            });
-                        }
-                    }
-                    VAddrMode::Indexed(vs2) => {
-                        let idx = ctx.v[vs2 as usize];
-                        for i in 0..vl as usize {
-                            if masked && !mask_bit(&ctx.v[0], i) {
-                                continue;
-                            }
-                            let addr = base.wrapping_add(get_elem(&idx, i, eew));
-                            let val = get_elem(&src, i, eew).to_le_bytes();
-                            mem.store(addr, &val[..eb as usize]);
-                            buf.push(MemOp {
-                                addr,
-                                bytes: eb,
-                                write: true,
-                                amo: false,
-                            });
-                        }
-                    }
-                }
-                ctx.pc += 1;
-            });
-            Some(EffectClass::VMem)
-        }
-        Instr::VIntOp {
-            op,
-            vd,
-            vs2,
-            operand,
-            masked,
-        } => {
-            let (op, vd, vs2, operand, masked) =
-                (*op, *vd as usize, *vs2 as usize, *operand, *masked);
-            lanes_do!(ctx => {
-                let vl = ctx.vl as usize;
-                let sew = ctx.sew;
-                let b = ctx.v[vs2];
-                let mut out = ctx.v[vd];
-                for i in 0..vl {
-                    if masked && !mask_bit(&ctx.v[0], i) {
-                        continue;
-                    }
-                    let rhs = v_operand_int(ctx, &operand, i, sew);
-                    let lhs = get_elem(&b, i, sew);
-                    let val = match op {
-                        VIntOp::Add => lhs.wrapping_add(rhs),
-                        VIntOp::Sub => lhs.wrapping_sub(rhs),
-                        VIntOp::Mul => lhs.wrapping_mul(rhs),
-                        VIntOp::And => lhs & rhs,
-                        VIntOp::Or => lhs | rhs,
-                        VIntOp::Xor => lhs ^ rhs,
-                        VIntOp::Sll => lhs << (rhs & 63),
-                        VIntOp::Srl => lhs >> (rhs & 63),
-                        VIntOp::Min => {
-                            (get_elem_signed(&b, i, sew)).min(sign_at(rhs, sew)) as u64
-                        }
-                        VIntOp::Max => {
-                            (get_elem_signed(&b, i, sew)).max(sign_at(rhs, sew)) as u64
-                        }
-                    };
-                    set_elem(&mut out, i, sew, val);
-                }
-                ctx.v[vd] = out;
-                ctx.pc += 1;
-            });
-            Some(EffectClass::VAlu)
-        }
-        Instr::VFpOp {
-            op,
-            vd,
-            vs2,
-            operand,
-            masked,
-        } => {
-            let (op, vd, vs2, operand, masked) =
-                (*op, *vd as usize, *vs2 as usize, *operand, *masked);
-            lanes_do!(ctx => {
-                let vl = ctx.vl as usize;
-                let sew = ctx.sew;
-                let b = ctx.v[vs2];
-                let mut out = ctx.v[vd];
-                for i in 0..vl {
-                    if masked && !mask_bit(&ctx.v[0], i) {
-                        continue;
-                    }
-                    let rhs = v_operand_float(ctx, &operand, i, sew);
-                    let lhs = get_felem(&b, i, sew);
-                    let val = match op {
-                        VFpOp::Add => lhs + rhs,
-                        VFpOp::Sub => lhs - rhs,
-                        VFpOp::Mul => lhs * rhs,
-                        VFpOp::Div => lhs / rhs,
-                        VFpOp::Macc => get_felem(&out, i, sew) + lhs * rhs,
-                        VFpOp::Min => lhs.min(rhs),
-                        VFpOp::Max => lhs.max(rhs),
-                        VFpOp::Exp => lhs.exp(),
-                    };
-                    set_felem(&mut out, i, sew, val);
-                }
-                ctx.v[vd] = out;
-                ctx.pc += 1;
-            });
-            Some(match op {
-                VFpOp::Div | VFpOp::Exp => EffectClass::VSfu,
-                _ => EffectClass::VFpu,
-            })
-        }
-        Instr::VAmo {
-            op,
-            eew,
-            vd,
-            rs1,
-            vs2,
-            masked,
-        } => {
-            let (op, eew, vd, rs1, vs2, masked) = (
-                *op,
-                *eew,
-                *vd as usize,
-                *rs1 as usize,
-                *vs2 as usize,
-                *masked,
-            );
-            let eb = eew.bytes();
-            let width = if eb == 4 { Width::W } else { Width::D };
-            lanes_do!(ctx => {
-                let base = ctx.x[rs1];
-                let vl = effective_vl(ctx, eew);
-                let idx = ctx.v[vs2];
-                let src = ctx.v[vd];
-                let mut out = src;
-                for i in 0..vl as usize {
-                    if masked && !mask_bit(&ctx.v[0], i) {
-                        continue;
-                    }
-                    let addr = base.wrapping_add(get_elem(&idx, i, eew));
-                    let old = mem.amo(op, width, addr, get_elem(&src, i, eew));
-                    set_elem(&mut out, i, eew, old);
-                    buf.push(MemOp {
-                        addr,
-                        bytes: eb,
-                        write: true,
-                        amo: true,
-                    });
-                }
-                ctx.v[vd] = out;
-                ctx.pc += 1;
-            });
-            Some(EffectClass::VMem)
-        }
-        // Cold compute-only opcodes (scalar FP, reductions, moves, ...):
-        // delegate to the reference `step`. None of these carry memory
-        // payloads, so the delegation stays allocation-free too.
-        _ => {
-            lanes_do!(ctx => {
-                match step(ctx, prog, mem) {
-                    Ok(effect) => {
-                        match &effect {
-                            Effect::Mem(op) => buf.push(*op),
-                            Effect::VMem(ops) => {
-                                for op in ops {
-                                    buf.push(*op);
-                                }
-                            }
-                            _ => {}
-                        }
-                        if first.is_none() {
-                            first = Some(effect.class());
-                        }
-                    }
-                    Err(_) => ctx.done = true,
-                }
-            });
-            None
-        }
-    };
-
-    if lanes > 0 && first.is_none() {
-        first = static_class;
-    }
-    GroupStep {
-        effect: first,
-        lanes,
-    }
+    effect
 }
 
 /// vl for an explicit element width: scale the configured vl so the same
@@ -1902,9 +1276,10 @@ mod tests {
         let mut ctx = ThreadCtx::new();
         setup(&mut ctx, &mut mem);
         let mut iface = MainMemoryIface::new(&mut mem);
+        let mut buf = EffectBuf::new();
         let mut steps = 0;
         while !ctx.done {
-            step(&mut ctx, &prog, &mut iface).expect("exec ok");
+            step(&mut ctx, &prog, &mut iface, &mut buf).expect("exec ok");
             steps += 1;
             assert!(steps < 1_000_000, "runaway program");
         }
@@ -2238,8 +1613,9 @@ mod tests {
         let mut mem = MainMemory::new();
         let mut iface = MainMemoryIface::new(&mut mem);
         let mut ctx = ThreadCtx::new();
-        step(&mut ctx, &prog, &mut iface).unwrap();
-        let e = step(&mut ctx, &prog, &mut iface).unwrap_err();
+        let mut buf = EffectBuf::new();
+        step(&mut ctx, &prog, &mut iface, &mut buf).unwrap();
+        let e = step(&mut ctx, &prog, &mut iface, &mut buf).unwrap_err();
         assert!(matches!(e, ExecError::PcOutOfRange { pc: 1 }));
     }
 
@@ -2279,13 +1655,26 @@ mod tests {
 
     #[test]
     fn effects_classify_units() {
-        let prog = assemble("li x3, 1\nmul x4, x3, x3\nfexp.s ft0, ft0\nhalt").unwrap();
+        let prog =
+            assemble("li x3, 1\nmul x4, x3, x3\nfexp.s ft0, ft0\nsd x3, 8(x0)\nhalt").unwrap();
         let mut mem = MainMemory::new();
         let mut iface = MainMemoryIface::new(&mut mem);
         let mut ctx = ThreadCtx::new();
-        assert_eq!(step(&mut ctx, &prog, &mut iface).unwrap(), Effect::Alu);
-        assert_eq!(step(&mut ctx, &prog, &mut iface).unwrap(), Effect::Mul);
-        assert_eq!(step(&mut ctx, &prog, &mut iface).unwrap(), Effect::Sfu);
-        assert_eq!(step(&mut ctx, &prog, &mut iface).unwrap(), Effect::Halted);
+        let mut buf = EffectBuf::new();
+        let (mut classes, mut memops) = (Vec::new(), Vec::new());
+        while !ctx.done {
+            classes.push(step(&mut ctx, &prog, &mut iface, &mut buf).unwrap());
+            memops.push(buf.memops().to_vec());
+        }
+        use EffectClass::*;
+        assert_eq!(classes, [Alu, Mul, Sfu, Mem, Halted]);
+        let store = MemOp {
+            addr: 8,
+            bytes: 8,
+            write: true,
+            amo: false,
+        };
+        assert_eq!(memops[3], [store]);
+        assert!(memops[4].is_empty(), "each step clears the buffer");
     }
 }

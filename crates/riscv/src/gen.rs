@@ -423,7 +423,11 @@ pub fn gen_instr(rng: &mut StdRng, len: usize) -> Instr {
         }
         _ => Instr::VAmo {
             op: amo_op(rng),
-            eew: sew(rng),
+            eew: if rng.gen_bool(0.5) {
+                Sew::E32
+            } else {
+                Sew::E64
+            },
             vd: xr(rng),
             rs1: xr(rng),
             vs2: xr(rng),

@@ -15,14 +15,14 @@
 //! * [`gen`] — seeded random instruction/program generators used by the
 //!   round-trip and differential property tests (and the fuzz-style CLI);
 //! * [`exec`] — a functional executor: [`exec::ThreadCtx`] holds one
-//!   µthread's architectural state; [`exec::step`] executes one instruction
-//!   against a [`exec::MemIface`] and returns an [`exec::Effect`] that the
-//!   timing layer (in `m2ndp-core`) charges to functional units and the
-//!   memory system. [`exec::step_group`] is the engine's hot path: it
-//!   decodes an instruction once and executes it across a whole SIMT
-//!   group, reporting memory operations through a reusable
-//!   [`exec::EffectBuf`] — semantically identical to per-lane `step`,
-//!   which stays in-tree as the reference implementation.
+//!   µthread's architectural state, and one private function defines what
+//!   every instruction does. [`exec::step`] runs one µthread one
+//!   instruction against a [`exec::MemIface`], writes the memory
+//!   operations it performed into a reusable [`exec::EffectBuf`], and
+//!   returns an [`exec::EffectClass`] that the timing layer (in
+//!   `m2ndp-core`) charges to functional units and the memory system.
+//!   [`exec::step_group`] is the engine's issue path: it fetches once and
+//!   runs the same executor on every lane of a SIMT group parked at one pc.
 //!
 //! Two deliberate deviations from stock RVV, both called out in the paper:
 //! µthreads receive their mapped address and offset in `x1`/`x2` when
@@ -34,7 +34,7 @@
 //!
 //! ```
 //! use m2ndp_riscv::asm::assemble;
-//! use m2ndp_riscv::exec::{step, MainMemoryIface, ThreadCtx};
+//! use m2ndp_riscv::exec::{step, EffectBuf, EffectClass, MainMemoryIface, ThreadCtx};
 //! use m2ndp_mem::MainMemory;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -46,10 +46,13 @@
 //! let mut mem = MainMemory::new();
 //! let mut iface = MainMemoryIface::new(&mut mem);
 //! let mut ctx = ThreadCtx::new();
+//! let mut buf = EffectBuf::new();
+//! let mut classes = Vec::new();
 //! while !ctx.done {
-//!     step(&mut ctx, &prog, &mut iface)?;
+//!     classes.push(step(&mut ctx, &prog, &mut iface, &mut buf)?);
 //! }
 //! assert_eq!(ctx.x[4], 80);
+//! assert_eq!(classes, [EffectClass::Alu, EffectClass::Alu, EffectClass::Halted]);
 //! # Ok(())
 //! # }
 //! ```
@@ -66,11 +69,10 @@ pub mod program;
 pub use asm::{assemble, AsmError};
 pub use disasm::{disassemble, DisasmError};
 pub use exec::{
-    step, step_group, Effect, EffectBuf, EffectClass, ExecError, GroupStep, MemIface, MemOp,
-    ThreadCtx,
+    step, step_group, EffectBuf, EffectClass, ExecError, GroupStep, MemIface, MemOp, ThreadCtx,
 };
 pub use instr::Instr;
-pub use program::{classify, FuClass, InstrClass, Program};
+pub use program::{classify, FuClass, Program};
 
 /// Vector register length in bytes (VLEN = 256 bits, Table IV).
 pub const VLEN_BYTES: usize = 32;

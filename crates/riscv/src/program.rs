@@ -2,7 +2,6 @@
 
 use std::collections::HashMap;
 
-use crate::exec::EffectClass;
 use crate::instr::{FpOp, Instr, IntOp, VFpOp};
 
 /// ISA-level functional-unit class of an instruction, decoded once at
@@ -25,77 +24,13 @@ pub enum FuClass {
     VLsu,
 }
 
-/// Pre-decoded issue metadata for one instruction: the functional unit it
-/// occupies and its latency class (the [`EffectClass`] the instruction
-/// statically produces — `jalr` reports [`EffectClass::Branch`] here and
-/// resolves its dynamic `Halted` case at execution).
-///
-/// [`Program::new`] derives one entry per instruction, so the table is
-/// rebuilt identically whenever a program is (re)assembled and never needs
-/// to be serialized or hand-maintained.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InstrClass {
-    /// Which functional unit the instruction occupies.
-    pub fu: FuClass,
-    /// Latency class the timing layer charges for it.
-    pub effect: EffectClass,
-}
-
-/// Statically classifies one instruction ([`Program::new`] caches the
-/// result per pc as [`Program::classes`]).
-pub fn classify(instr: &Instr) -> InstrClass {
-    let effect = match instr {
-        Instr::Li { .. }
-        | Instr::Lui { .. }
-        | Instr::OpImm { .. }
-        | Instr::Fence
-        | Instr::FMvToInt { .. }
-        | Instr::FMvFromInt { .. } => EffectClass::Alu,
-        Instr::Op { op, .. } => {
-            if op.is_muldiv() {
-                if matches!(op, IntOp::Mul | IntOp::Mulh) {
-                    EffectClass::Mul
-                } else {
-                    EffectClass::Div
-                }
-            } else {
-                EffectClass::Alu
-            }
-        }
-        Instr::Load { .. }
-        | Instr::Store { .. }
-        | Instr::Amo { .. }
-        | Instr::FLoad { .. }
-        | Instr::FStore { .. } => EffectClass::Mem,
-        Instr::Branch { .. } | Instr::Jal { .. } | Instr::Jalr { .. } => EffectClass::Branch,
-        Instr::Halt => EffectClass::Halted,
-        Instr::FOp { op, .. } => match op {
-            FpOp::Div | FpOp::Sqrt | FpOp::Exp => EffectClass::Sfu,
-            _ => EffectClass::FpAlu,
-        },
-        Instr::FMadd { .. }
-        | Instr::FCmp { .. }
-        | Instr::FCvtFromInt { .. }
-        | Instr::FCvtToInt { .. }
-        | Instr::FCvtPrec { .. } => EffectClass::FpAlu,
-        Instr::Vsetvli { .. }
-        | Instr::VMv { .. }
-        | Instr::VMvToScalar { .. }
-        | Instr::VMvFromScalar { .. }
-        | Instr::VFMvToScalar { .. } => EffectClass::VCtl,
-        Instr::VLoad { .. } | Instr::VStore { .. } | Instr::VAmo { .. } => EffectClass::VMem,
-        Instr::VIntOp { .. }
-        | Instr::VCmp { .. }
-        | Instr::Vid { .. }
-        | Instr::VMerge { .. }
-        | Instr::VSlidedown { .. } => EffectClass::VAlu,
-        Instr::VFpOp { op, .. } => match op {
-            VFpOp::Div | VFpOp::Exp => EffectClass::VSfu,
-            _ => EffectClass::VFpu,
-        },
-        Instr::VRed { .. } => EffectClass::VFpu,
-    };
-    let fu = match instr {
+/// Statically classifies one instruction by the functional unit it
+/// occupies ([`Program::new`] caches the result per pc as
+/// [`Program::classes`]). The latency class is not decided here: the
+/// executor returns it as an [`EffectClass`](crate::exec::EffectClass)
+/// when the instruction runs.
+pub fn classify(instr: &Instr) -> FuClass {
+    match instr {
         Instr::Load { .. }
         | Instr::Store { .. }
         | Instr::Amo { .. }
@@ -116,8 +51,7 @@ pub fn classify(instr: &Instr) -> InstrClass {
         } => FuClass::VSfu,
         i if i.is_vector() => FuClass::VAlu,
         _ => FuClass::SAlu,
-    };
-    InstrClass { fu, effect }
+    }
 }
 
 /// An assembled program: a flat instruction vector with resolved branch
@@ -125,7 +59,7 @@ pub fn classify(instr: &Instr) -> InstrClass {
 /// registration time (Table II's `numIntRegs`/`numFloatRegs`/`numVectorRegs`
 /// arguments).
 ///
-/// `classes` is a derived pre-decoded side table (one [`InstrClass`] per
+/// `classes` is a derived pre-decoded side table (one [`FuClass`] per
 /// instruction); it is a pure function of `instrs`, so the derived
 /// `PartialEq` stays lawful and round-tripping through the disassembler
 /// reproduces it bit-identically.
@@ -133,7 +67,7 @@ pub fn classify(instr: &Instr) -> InstrClass {
 pub struct Program {
     instrs: Vec<Instr>,
     labels: HashMap<String, usize>,
-    classes: Vec<InstrClass>,
+    classes: Vec<FuClass>,
 }
 
 /// Architectural register usage of a program.
@@ -149,7 +83,7 @@ pub struct RegUsage {
 
 impl Program {
     /// Creates a program from parts (used by the assembler), pre-decoding
-    /// the per-instruction [`InstrClass`] table.
+    /// the per-instruction [`FuClass`] table.
     pub fn new(instrs: Vec<Instr>, labels: HashMap<String, usize>) -> Self {
         let classes = instrs.iter().map(classify).collect();
         Self {
@@ -169,15 +103,15 @@ impl Program {
         self.instrs.get(pc)
     }
 
-    /// Pre-decoded issue metadata for the instruction at `pc`, if in
+    /// Pre-decoded functional unit of the instruction at `pc`, if in
     /// range. An array lookup — the engine's dispatch scan uses this
     /// instead of re-matching the instruction enum every cycle.
-    pub fn class_at(&self, pc: usize) -> Option<InstrClass> {
+    pub fn class_at(&self, pc: usize) -> Option<FuClass> {
         self.classes.get(pc).copied()
     }
 
     /// The pre-decoded class table, one entry per instruction.
-    pub fn classes(&self) -> &[InstrClass] {
+    pub fn classes(&self) -> &[FuClass] {
         &self.classes
     }
 
@@ -424,7 +358,6 @@ mod tests {
 
     #[test]
     fn class_table_is_derived_per_instruction() {
-        use crate::exec::EffectClass;
         use crate::instr::{FpOp, Precision, VFpOp, VOperand};
         let instrs = vec![
             Instr::Li { rd: 1, imm: 0 },
@@ -473,19 +406,17 @@ mod tests {
         let p = Program::new(instrs, HashMap::new());
         assert_eq!(p.classes().len(), p.len());
         let expect = [
-            (FuClass::SAlu, EffectClass::Alu),
-            (FuClass::SSfu, EffectClass::Div),
-            (FuClass::SAlu, EffectClass::Mul),
-            (FuClass::SLsu, EffectClass::Mem),
-            (FuClass::SSfu, EffectClass::Sfu),
-            (FuClass::VSfu, EffectClass::VSfu),
-            (FuClass::VAlu, EffectClass::VAlu),
-            (FuClass::SAlu, EffectClass::Halted),
+            FuClass::SAlu,
+            FuClass::SSfu,
+            FuClass::SAlu,
+            FuClass::SLsu,
+            FuClass::SSfu,
+            FuClass::VSfu,
+            FuClass::VAlu,
+            FuClass::SAlu,
         ];
-        for (pc, (fu, effect)) in expect.iter().enumerate() {
-            let c = p.class_at(pc).unwrap();
-            assert_eq!(c.fu, *fu, "pc {pc}");
-            assert_eq!(c.effect, *effect, "pc {pc}");
+        for (pc, fu) in expect.iter().enumerate() {
+            assert_eq!(p.class_at(pc), Some(*fu), "pc {pc}");
         }
         assert!(p.class_at(p.len()).is_none());
     }

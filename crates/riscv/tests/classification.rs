@@ -1,13 +1,18 @@
-//! Exhaustive classification tests for [`Instr::is_mem`] and
-//! [`Instr::is_vector`].
+//! Exhaustive classification tests for [`Instr::is_mem`],
+//! [`Instr::is_vector`] and the functional-unit table [`classify`].
 //!
-//! The match below lists **every** variant explicitly — no `_` arm — so
+//! The matches below list **every** variant explicitly — no `_` arm — so
 //! adding an `Instr` variant without deciding its memory/vector
-//! classification fails to compile here, and [`gen::all_variants`] (one
-//! instance per variant) drives the runtime check over each one.
+//! classification, or an `EffectClass` without deciding its unit, fails to
+//! compile here, and [`gen::all_variants`] (one instance per variant)
+//! drives the runtime checks over each one.
 
-use m2ndp_riscv::gen::all_variants;
-use m2ndp_riscv::Instr;
+use std::collections::{HashMap, HashSet};
+
+use m2ndp_mem::MainMemory;
+use m2ndp_riscv::exec::{step, EffectBuf, EffectClass, MainMemoryIface, ThreadCtx};
+use m2ndp_riscv::gen::{all_variants, gen_program};
+use m2ndp_riscv::{classify, FuClass, Instr, Program};
 
 /// The expected classification, spelled out per variant. Compilation of
 /// this match is the real test: extend it (and `gen::all_variants`) when
@@ -66,4 +71,51 @@ fn memory_and_vector_sets_have_the_expected_sizes() {
     assert_eq!(mem, 8);
     // 15 vector forms (Table IV's 256-bit unit plus the vector-AMO ext).
     assert_eq!(vector, 15);
+}
+
+/// The unit an executed effect class must have been issued on.
+fn unit_of(class: EffectClass) -> FuClass {
+    match class {
+        EffectClass::Mem => FuClass::SLsu,
+        EffectClass::VMem => FuClass::VLsu,
+        EffectClass::Div | EffectClass::Sfu => FuClass::SSfu,
+        EffectClass::VSfu => FuClass::VSfu,
+        EffectClass::VAlu | EffectClass::VFpu | EffectClass::VCtl => FuClass::VAlu,
+        EffectClass::Alu
+        | EffectClass::Mul
+        | EffectClass::FpAlu
+        | EffectClass::Branch
+        | EffectClass::Halted => FuClass::SAlu,
+    }
+}
+
+/// The engine picks the functional unit from `classify` before issue and
+/// the latency from the class the executor returns; the two must agree.
+/// Every variant runs once on a fresh context, plus every instruction of
+/// 256 generated programs so each opcode's operation (div vs mul, fdiv vs
+/// fadd, ...) is covered too.
+#[test]
+fn fu_class_matches_executed_effect_for_every_variant() {
+    let generated = (0..256).flat_map(|seed| gen_program(seed).instrs().to_vec());
+    let mut seen = HashSet::new();
+    for instr in all_variants().into_iter().chain(generated) {
+        let prog = Program::new(vec![instr.clone()], HashMap::new());
+        let mut mem = MainMemory::new();
+        let mut ctx = ThreadCtx::new();
+        let mut buf = EffectBuf::new();
+        let class = step(
+            &mut ctx,
+            &prog,
+            &mut MainMemoryIface::new(&mut mem),
+            &mut buf,
+        )
+        .expect("a fresh context executes pc 0");
+        assert_eq!(
+            classify(&instr),
+            unit_of(class),
+            "{instr:?} executed as {class:?}"
+        );
+        seen.insert(class);
+    }
+    assert_eq!(seen.len(), 13, "every effect class was executed: {seen:?}");
 }

@@ -1,10 +1,14 @@
 //! Property tests: the vector executor agrees with scalar reference loops,
-//! and the assembler is total over generated programs.
+//! the assembler is total over generated programs, and hostile source text
+//! never panics the assembler or the executor.
 
 use m2ndp_mem::MainMemory;
-use m2ndp_riscv::assemble;
-use m2ndp_riscv::exec::{step, MainMemoryIface, ThreadCtx};
+use m2ndp_riscv::exec::{step, step_group, EffectBuf, MainMemoryIface, ThreadCtx};
+use m2ndp_riscv::gen::gen_program;
+use m2ndp_riscv::{assemble, disassemble, Program};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn run_to_halt(
     src: &str,
@@ -15,9 +19,10 @@ fn run_to_halt(
     let mut ctx = ThreadCtx::new();
     setup(&mut ctx, &mut mem);
     let mut iface = MainMemoryIface::new(&mut mem);
+    let mut buf = EffectBuf::new();
     let mut steps = 0;
     while !ctx.done {
-        step(&mut ctx, &prog, &mut iface).expect("executes");
+        step(&mut ctx, &prog, &mut iface, &mut buf).expect("executes");
         steps += 1;
         assert!(steps < 100_000, "runaway");
     }
@@ -161,4 +166,136 @@ proptest! {
         );
         prop_assert_eq!(ctx.x[5], v);
     }
+}
+
+// ---------- hostile input: the assembler and executor never panic ----------
+
+/// Mnemonics beyond the canonical forms the disassembler prints:
+/// pseudo-instructions, alternative suffixes and near misses.
+const MNEMONICS: &str = "li mv not neg seqz snez nop beqz bnez bgtz blez bgt ble j ret halt
+    exit fence fence.rw.rw amoadd.w amoswap.d amomax.x amo fabs.s fneg.d fcvt.w.s fcvt.d.l
+    fcvt. fmv.x.w fmv.d.x vle8.v vsuxei8.v vadd.vi vmseq.vi vmerge.vim vmerge.vxm vmv.v.i
+    vmv.s.x vfmv.v.f vamoswapei8.v vamoxorei16.v vamoei.v v v.";
+
+/// Operand tokens: every register file, immediates, memory forms, masks,
+/// vtype fields and label references.
+const OPERANDS: &str = "x0 x1 x2 x31 x32 zero ra sp gp tp t0 t6 s0 fp s11 a0 a7 f0 f31 f32
+    ft0 fa0 fs11 v0 v1 v31 v32 v0.t e8 e16 e32 e64 e128 m1 m8 ta ma rtz 0 -1 1 2047 -2048
+    0x10 0xFFFFFFFFFFFFFFFF 0x8000000000000000 -9223372036854775808 99999999999999999999
+    0b101 (x1) 8(x3) -8(sp) (a0 8() () L0 L1 loop end";
+
+/// Junk: ASCII punctuation, controls and multi-byte characters.
+const JUNK: &[char] = &[
+    ',', '(', ')', ':', '.', '#', ';', '/', '-', '+', ' ', '\t', '\0', '\r', 'µ', 'é', '€', '𝄞',
+    '0', 'x', 'v',
+];
+
+fn pick<T: Copy>(rng: &mut StdRng, items: &[T]) -> T {
+    items[rng.gen_range(0..items.len())]
+}
+
+/// A line of pool tokens: optional label, a mnemonic, up to four operands.
+fn token_line(rng: &mut StdRng) -> String {
+    let mut line = String::new();
+    if rng.gen_bool(0.2) {
+        line.push_str(pick(rng, &["L0: ", "L1: ", "loop:", ":", "1:"]));
+    }
+    let mnemonics: Vec<&str> = MNEMONICS.split_whitespace().collect();
+    let operands: Vec<&str> = OPERANDS.split_whitespace().collect();
+    line.push_str(pick(rng, &mnemonics));
+    line.push(' ');
+    let ops: Vec<&str> = (0..rng.gen_range(0..=4usize))
+        .map(|_| pick(rng, &operands))
+        .collect();
+    line.push_str(&ops.join(pick(rng, &[", ", ",", " ", ",,"])));
+    line
+}
+
+/// Inserts, truncates at or removes one character at a random position.
+fn mutate_chars(rng: &mut StdRng, line: &mut String) {
+    let mut chars: Vec<char> = line.chars().collect();
+    let at = rng.gen_range(0..=chars.len());
+    match rng.gen_range(0..3u8) {
+        0 => chars.insert(at, pick(rng, JUNK)),
+        1 => chars.truncate(at),
+        _ if at < chars.len() => {
+            chars.remove(at);
+        }
+        _ => {}
+    }
+    *line = chars.into_iter().collect();
+}
+
+/// Source text for one case: the canonical text of a generated program
+/// (real control flow and every instruction form) with up to three edits,
+/// each inserting or substituting a token line, mutating a line's
+/// characters, or deleting a line. A quarter of the cases stay unedited,
+/// so accepted programs of real length reach the executor.
+fn hostile_source(rng: &mut StdRng, seed: u64) -> Vec<String> {
+    let mut lines: Vec<String> = disassemble(&gen_program(seed))
+        .expect("generated programs disassemble")
+        .lines()
+        .map(str::to_string)
+        .collect();
+    for _ in 0..rng.gen_range(0..=3usize) {
+        let at = rng.gen_range(0..=lines.len());
+        match rng.gen_range(0..4u8) {
+            0 => lines.insert(at, token_line(rng)),
+            1 if at < lines.len() => lines[at] = token_line(rng),
+            2 if at < lines.len() => mutate_chars(rng, &mut lines[at]),
+            _ if at < lines.len() => {
+                lines.remove(at);
+            }
+            _ => lines.push(token_line(rng)),
+        }
+    }
+    lines
+}
+
+/// Runs an accepted program for up to `max_issues` group issues on four
+/// lanes with distinct `x1`/`x2`, the way the engine issues a SIMT group.
+fn run_group_bounded(prog: &Program, max_issues: usize) {
+    let mut mem = MainMemory::new();
+    let mut iface = MainMemoryIface::new(&mut mem);
+    let mut ctxs: Vec<ThreadCtx> = (0..4u64)
+        .map(|i| ThreadCtx::spawned(0x8000 + i * 0x40, i * 0x40))
+        .collect();
+    let mut buf = EffectBuf::new();
+    for _ in 0..max_issues {
+        let Some(min_pc) = ctxs.iter().filter(|c| !c.done).map(|c| c.pc).min() else {
+            break;
+        };
+        step_group(&mut ctxs, min_pc, prog, &mut iface, &mut buf);
+    }
+}
+
+proptest! {
+    /// `assemble` maps any text to a program or a line-numbered
+    /// `AsmError`, and every program it accepts runs without panicking.
+    /// Takes `PROPTEST_CASES` (CI's `asm-roundtrip` job raises it).
+    #[test]
+    fn hostile_source_never_panics(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let lines = hostile_source(&mut rng, seed);
+        let src = lines.join("\n");
+        match assemble(&src) {
+            Ok(prog) => run_group_bounded(&prog, 256),
+            Err(e) => prop_assert!(
+                (1..=lines.len().max(1)).contains(&e.line),
+                "error line {} outside 1..={} for {src:?}",
+                e.line,
+                lines.len()
+            ),
+        }
+    }
+}
+
+/// Regression for a case the hostile-source property found: a store that
+/// runs past the top of the 64-bit address space wraps to address 0
+/// instead of overflowing.
+#[test]
+fn store_across_the_top_of_the_address_space_wraps() {
+    let (ctx, mem) = run_to_halt("li x3, -4\nsd x3, (x3)\nld x4, (x3)\nhalt", |_, _| {});
+    assert_eq!(ctx.x[4], -4i64 as u64);
+    assert_eq!(mem.read_u32(0), u32::MAX);
 }

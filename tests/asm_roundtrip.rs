@@ -18,9 +18,7 @@
 use std::collections::HashMap;
 
 use m2ndp_mem::MainMemory;
-use m2ndp_riscv::exec::{
-    amo_on_memory, step, step_group, Effect, EffectBuf, MemIface, MemOp, ThreadCtx,
-};
+use m2ndp_riscv::exec::{amo_on_memory, step, step_group, EffectBuf, MemIface, MemOp, ThreadCtx};
 use m2ndp_riscv::gen::gen_program;
 use m2ndp_riscv::instr::{AmoOp, Width};
 use m2ndp_riscv::{assemble, disassemble, Instr, Program};
@@ -213,13 +211,14 @@ fn run_bounded(program: &Program, max_steps: usize) -> (Vec<String>, Vec<String>
     let mut ctx = ThreadCtx::new();
     ctx.x[1] = 0x8000; // pool address / offset, as at µthread spawn
     ctx.x[2] = 0x40;
+    let mut buf = EffectBuf::new();
     let mut trace = Vec::new();
     for _ in 0..max_steps {
         if ctx.done {
             break;
         }
-        match step(&mut ctx, program, &mut mem) {
-            Ok(effect) => trace.push(format!("{effect:?}")),
+        match step(&mut ctx, program, &mut mem, &mut buf) {
+            Ok(class) => trace.push(format!("{class:?} {:?}", buf.memops())),
             Err(e) => {
                 trace.push(format!("err {e:?}"));
                 break;
@@ -318,6 +317,7 @@ fn run_group_reference(
 ) -> (Vec<String>, Vec<String>, Vec<ThreadCtx>) {
     let mut mem = MaskedMem::new();
     let mut ctxs = spawn_lanes();
+    let mut buf = EffectBuf::new();
     let mut trace = Vec::new();
     for _ in 0..max_issues {
         let Some(min_pc) = ctxs.iter().filter(|c| !c.done).map(|c| c.pc).min() else {
@@ -334,15 +334,11 @@ fn run_group_reference(
                 continue;
             }
             lanes += 1;
-            match step(ctx, program, &mut mem) {
-                Ok(effect) => {
-                    match &effect {
-                        Effect::Mem(op) => memops.push(*op),
-                        Effect::VMem(ops) => memops.extend_from_slice(ops),
-                        _ => {}
-                    }
+            match step(ctx, program, &mut mem, &mut buf) {
+                Ok(class) => {
+                    memops.extend_from_slice(buf.memops());
                     if first.is_none() {
-                        first = Some(format!("{:?}", effect.class()));
+                        first = Some(format!("{class:?}"));
                     }
                 }
                 Err(_) => ctx.done = true,
@@ -353,7 +349,7 @@ fn run_group_reference(
     (trace, mem.log, ctxs)
 }
 
-/// The optimized path: `step_group` over the same spawn state.
+/// The group loop: `step_group` over the same spawn state.
 fn run_group_optimized(
     program: &Program,
     max_issues: usize,
