@@ -258,7 +258,7 @@ pub fn run_on_device(
     }
 }
 
-// ----- KVStore helpers shared by Figs. 1b / 10b / 11a / 11b -----
+// ----- KVStore helpers of Fig. 10b -----
 
 /// Measures per-request NDP kernel service times (ns) by running `n` GET
 /// kernels on a small M²NDP device, one at a time (pure kernel runtime,

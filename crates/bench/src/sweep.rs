@@ -27,10 +27,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use m2ndp::core::fleet::{Fleet, FleetConfig, SwitchNdp};
 use m2ndp::core::LaunchArgs;
 use m2ndp::core::{CxlM2ndpDevice, DeviceStats, M2ndpConfig, StatValue};
-use m2ndp::cxl::{CxlSwitch, SwitchConfig};
+use m2ndp::cxl::{CxlIoModel, CxlLinkConfig, CxlSwitch, SwitchConfig};
 use m2ndp::host::cpu::{DataHome, HostCpu, HostCpuConfig};
 use m2ndp::host::nsu::NsuModel;
-use m2ndp::host::offload::{OffloadMechanism, OffloadModel, OffloadSim};
+use m2ndp::host::offload::{OffloadMechanism, OffloadModel};
 use m2ndp::host::serve;
 use m2ndp::sim::trace::ScaleDir;
 use m2ndp::sim::{par, Frequency, Snapshot as _};
@@ -51,10 +51,16 @@ use crate::{geomean, table::Table};
 pub enum FigId {
     /// Fig. 10a — OLAP Evaluate runtimes and speedups.
     Fig10a,
-    /// Fig. 10b — KVStore P95 improvement per offload mechanism.
+    /// Fig. 10b — KVStore P95 improvement per offload mechanism, each
+    /// mechanism serving the store on one device
+    /// ([`m2ndp::host::serve::run`]).
     Fig10b,
     /// Fig. 10c — ten GPU workloads, NDP speedups over the GPU baseline.
     Fig10c,
+    /// Fig. 11b — the same one-device KVStore serving with CXL.io granted
+    /// CXL.mem's 600 ns latency: M²func's light-load tail gain and its
+    /// throughput lead over direct MMIO at saturation.
+    Fig11b,
     /// Fig. 11c — multi-tenant serving latency–throughput curves on *real*
     /// device simulators: the event-driven runtime
     /// ([`m2ndp::host::serve`]) admits open-loop tenant streams onto a
@@ -86,11 +92,12 @@ pub enum FigId {
 
 impl FigId {
     /// All sweep figures in presentation order.
-    pub fn all() -> [FigId; 11] {
+    pub fn all() -> [FigId; 12] {
         [
             FigId::Fig10a,
             FigId::Fig10b,
             FigId::Fig10c,
+            FigId::Fig11b,
             FigId::Fig11c,
             FigId::Fig12a,
             FigId::Fig12b,
@@ -108,6 +115,7 @@ impl FigId {
             FigId::Fig10a => "fig10a",
             FigId::Fig10b => "fig10b",
             FigId::Fig10c => "fig10c",
+            FigId::Fig11b => "fig11b",
             FigId::Fig11c => "fig11c",
             FigId::Fig12a => "fig12a",
             FigId::Fig12b => "fig12b",
@@ -125,6 +133,7 @@ impl FigId {
             FigId::Fig10a => "OLAP Evaluate phase (paper: avg 73.4x, up to 128x)",
             FigId::Fig10b => "KVStore P95 improvement (paper: DR 0.58, RB 0.29, M2func 1.39)",
             FigId::Fig10c => "GPU-workload speedups (paper: M2NDP up to 9.71x, avg 6.35x)",
+            FigId::Fig11b => "Equal 600 ns CXL.io/CXL.mem latency (paper: M2func up to 63% lower)",
             FigId::Fig11c => {
                 "Multi-tenant serving on real device sims (paper Fig. 11a: M2func 47.3x DR tput)"
             }
@@ -176,10 +185,11 @@ enum Work {
     KvsService { requests: usize },
     /// Host-baseline KVStore latency distribution (Fig. 10b).
     KvsBaseline { requests: usize },
-    /// Offload-mechanism queueing simulation over a measured service
-    /// distribution (Fig. 10b).
-    KvsOffload {
-        mechanism: OffloadMechanism,
+    /// One Poisson tenant of KVStore GETs served on one standalone device
+    /// under `model`, every request a real kernel launch (Figs. 10b, 11b).
+    KvsServe {
+        model: OffloadModel,
+        rate_per_sec: f64,
         seed: u64,
     },
     /// DLRM with the embedding table partitioned over `devices` (Fig. 12b).
@@ -457,16 +467,35 @@ pub fn cells(fig: FigId, fast: bool) -> Vec<CellSpec> {
                     work: Work::KvsBaseline { requests: 4000 },
                 },
             ];
-            for (mix, seed) in [("KVS_A", 11u64), ("KVS_B", 13u64)] {
+            for (mix, seed) in KVS_MIXES {
                 for (label, mechanism) in MECHANISMS {
                     out.push(CellSpec {
                         fig,
                         key: format!("{mix}/{label}"),
-                        work: Work::KvsOffload { mechanism, seed },
+                        work: Work::KvsServe {
+                            model: OffloadModel::with_defaults(mechanism),
+                            rate_per_sec: KVS_LIGHT_RATE,
+                            seed,
+                        },
                     });
                 }
             }
             out
+        }
+        FigId::Fig11b => {
+            let seed = KVS_MIXES[0].1;
+            EQUAL_LATENCY_CELLS
+                .into_iter()
+                .map(|(label, mechanism, rate_per_sec)| CellSpec {
+                    fig,
+                    key: format!("{label}/{}", rate_key(rate_per_sec)),
+                    work: Work::KvsServe {
+                        model: equal_latency_model(mechanism),
+                        rate_per_sec,
+                        seed,
+                    },
+                })
+                .collect()
         }
         FigId::Fig10c => {
             let workloads = if fast {
@@ -675,6 +704,45 @@ const MECHANISMS: [(&str, OffloadMechanism); 3] = [
     ("M2func", OffloadMechanism::M2Func),
 ];
 
+/// Fig. 10b's KVStore request mixes and their tenant seeds.
+const KVS_MIXES: [(&str, u64); 2] = [("KVS_A", 11), ("KVS_B", 13)];
+
+/// Requests of the one-device KVStore offload cells (Figs. 10b, 11b).
+const KVS_OFFLOAD_REQUESTS: usize = 10_000;
+
+/// Light offered load of the one-device KVStore offload cells (req/s):
+/// below direct-MMIO saturation (~440K/s), as in the paper, where DR
+/// degrades the P95 but still serves.
+const KVS_LIGHT_RATE: f64 = 2e5;
+
+/// Saturating offered load of fig11b's throughput view (req/s).
+const KVS_SAT_RATE: f64 = 1e8;
+
+/// Fig. 11b's cells: every mechanism at light load for the latency view,
+/// M²func and direct MMIO at saturation for the throughput view.
+const EQUAL_LATENCY_CELLS: [(&str, OffloadMechanism, f64); 5] = [
+    ("M2func", OffloadMechanism::M2Func, KVS_LIGHT_RATE),
+    (
+        "CXL.io_RB",
+        OffloadMechanism::CxlIoRingBuffer,
+        KVS_LIGHT_RATE,
+    ),
+    ("CXL.io_DR", OffloadMechanism::CxlIoDirect, KVS_LIGHT_RATE),
+    ("M2func", OffloadMechanism::M2Func, KVS_SAT_RATE),
+    ("CXL.io_DR", OffloadMechanism::CxlIoDirect, KVS_SAT_RATE),
+];
+
+/// Fig. 11b's offload model: CXL.io granted CXL.mem's 600 ns load-to-use
+/// latency (300 ns one way), so the protocol's latency advantage is gone
+/// and only M²func's fewer round trips and its concurrency remain.
+fn equal_latency_model(mechanism: OffloadMechanism) -> OffloadModel {
+    OffloadModel::new(
+        mechanism,
+        CxlLinkConfig::default_150ns().with_ltu_scale(4.0),
+        CxlIoModel::with_one_way_ns(300.0),
+    )
+}
+
 fn sweep_workloads(fast: bool) -> Vec<GpuWorkload> {
     let mut ws = GpuWorkload::sweep_subset();
     if fast {
@@ -833,16 +901,29 @@ pub fn run_cell_with(spec: &CellSpec, fleet_jobs: usize) -> CellOut {
             let lat = kvs_baseline_latencies_ns(*requests, 1.0);
             out(0, p95(&lat), None, Vec::new())
         }
-        Work::KvsOffload { mechanism, seed } => {
-            // Each cell re-measures the service distribution itself (the
-            // device run is deterministic, so every cell sees the same
-            // distribution without sharing state across threads).
-            let service = kvs_service_times_ns(200);
-            // Offered load below direct-MMIO saturation (~440K/s), as in
-            // the paper where DR degrades P95 but still serves.
-            let mut res = OffloadSim::new(OffloadModel::with_defaults(*mechanism), 48)
-                .run(10_000, 2.0e5, &service, *seed);
-            out(0, res.latencies.percentile(0.95), None, Vec::new())
+        Work::KvsServe {
+            model,
+            rate_per_sec,
+            seed,
+        } => {
+            // The store the `service` and `baseline` cells measure, on the
+            // serving cells' one-device configuration.
+            let mut backend =
+                serve::ServeBackend::Device(Box::new(CxlM2ndpDevice::new(serve_device_cfg())));
+            let mut wl = serve::KvServeWorkload::build(&mut backend, 64 << 10, 0.99);
+            let tenant = serve::TenantSpec::poisson("kvs", *rate_per_sec)
+                .requests(KVS_OFFLOAD_REQUESTS)
+                .seed(*seed);
+            let cfg = serve::ServeConfig {
+                model: model.clone(),
+                ..serve::ServeConfig::with_defaults(model.mechanism())
+            };
+            let mut report = serve::run(&mut backend, &mut wl, &cfg, &[tenant]);
+            let extra = vec![
+                ("throughput_rps", report.throughput),
+                ("p50_ns", report.combined.percentile(0.5)),
+            ];
+            out(0, report.combined.percentile(0.95), None, extra)
         }
         Work::DlrmPartition { devices } => {
             let n = *devices;
@@ -1376,6 +1457,26 @@ pub fn derive(fig: FigId, outs: &[CellOut]) -> Vec<Metric> {
                 m.push(("geomean_speedup_fast4/M2NDP".into(), geomean(&fast4)));
             }
         }
+        FigId::Fig11b => {
+            let (low, sat) = (rate_key(KVS_LIGHT_RATE), rate_key(KVS_SAT_RATE));
+            // Light-load tail gain: the fraction of the ring buffer's P95
+            // that M2func removes (paper: up to 63%).
+            if let (Some(m2), Some(rb)) = (
+                find(outs, &format!("M2func/{low}")),
+                find(outs, &format!("CXL.io_RB/{low}")),
+            ) {
+                m.push(("p95_gain/M2func_vs_RB".into(), 1.0 - m2.ns / rb.ns));
+            }
+            if let (Some(m2), Some(dr)) = (
+                find(outs, &format!("M2func/{sat}")),
+                find(outs, &format!("CXL.io_DR/{sat}")),
+            ) {
+                m.push((
+                    "sat_throughput_ratio/M2func_vs_DR".into(),
+                    extra(m2, "throughput_rps") / extra(dr, "throughput_rps"),
+                ));
+            }
+        }
         FigId::Fig11c => {
             let low = rate_key(SERVE_RATES[0]);
             let sat = rate_key(SERVE_RATES[3]);
@@ -1858,6 +1959,34 @@ pub fn print_figure(fig: FigId, outs: &[CellOut], metrics: &[Metric]) {
             );
             if let Some(g) = metric(metrics, "geomean_speedup/M2NDP") {
                 println!("M2NDP geomean speedup: {g:.2}x (paper: 6.35x average)");
+            }
+        }
+        FigId::Fig11b => {
+            let mut t = Table::new(vec!["mechanism", "offered", "P95 (ns)", "throughput (/s)"]);
+            for o in outs {
+                let (label, rk) = o.key.split_once('/').unwrap_or((&o.key, "-"));
+                t.row(vec![
+                    label.to_string(),
+                    format!("{rk}/s"),
+                    format!("{:.0}", o.ns),
+                    format!("{:.2e}", extra(o, "throughput_rps")),
+                ]);
+            }
+            t.print(
+                "Fig. 11b — one-device KVS serving with CXL.io at CXL.mem's 600 ns latency \
+                 (paper: M2func up to 63% lower latency)",
+            );
+            if let Some(g) = metric(metrics, "p95_gain/M2func_vs_RB") {
+                println!(
+                    "M2func light-load P95 gain over CXL.io_RB: {:.0}% (paper: up to 63%)",
+                    g * 100.0
+                );
+            }
+            if let Some(v) = metric(metrics, "sat_throughput_ratio/M2func_vs_DR") {
+                println!(
+                    "M2func sustains {v:.1}x CXL.io_DR throughput at saturation (paper Fig. 11a: \
+                     47.3x; must be >= 10x)"
+                );
             }
         }
         FigId::Fig11c => {

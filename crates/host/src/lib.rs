@@ -9,13 +9,12 @@
 //!   placed inside the CXL device, §IV-A).
 //! * [`offload`] — kernel-offload mechanisms: M²func over CXL.mem versus
 //!   the CXL.io ring-buffer and direct-MMIO schemes (Fig. 5), including
-//!   their concurrency limits, plus the open-loop throughput/tail-latency
-//!   simulation behind Figs. 1b, 10b and 11a.
+//!   their concurrency limits.
 //! * [`serve`] — the event-driven multi-tenant serving runtime: open-loop
 //!   tenant streams admitted onto *real* device simulators (a standalone
 //!   [`m2ndp_core::CxlM2ndpDevice`] or a switched
 //!   [`m2ndp_core::fleet::Fleet`]), one actual kernel launch per request
-//!   (fig11c).
+//!   under an offload mechanism's costs (Figs. 10b, 11b, 11c, 15).
 //! * [`roofline`] — the Fig. 1a roofline analysis.
 //! * [`nsu`] — the NSU prior work \[81\]: host-translated addresses for every
 //!   NDP access, bottlenecked on the CXL link.
@@ -37,6 +36,6 @@ pub mod roofline;
 pub mod serve;
 
 pub use cpu::{HostCpu, HostCpuConfig};
-pub use offload::{OffloadMechanism, OffloadSim};
+pub use offload::OffloadMechanism;
 pub use roofline::Roofline;
 pub use serve::{ServeBackend, ServeConfig, TenantSpec};

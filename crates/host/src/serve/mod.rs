@@ -1,14 +1,14 @@
 //! Event-driven, multi-tenant request serving over *real* device
-//! simulators — the runtime behind the fig11c latency–throughput curves
-//! and the fig15 elastic-fleet study.
+//! simulators — the one offload model behind every offload number: the
+//! fig10b/fig11b one-device P95 and throughput cells, the fig11c
+//! latency–throughput curves and the fig15 elastic-fleet study.
 //!
-//! Where [`crate::offload::OffloadSim`] replays a measured service-time
-//! distribution through a closed-form slot pool, this runtime drives the
-//! cycle-level simulators themselves: every admitted request becomes an
-//! actual kernel launch on a [`CxlM2ndpDevice`] — through the full M²func
-//! wire protocol ([`m2ndp_core::m2func`]) when the mechanism is M²func —
-//! or is routed through the `CxlSwitch`/`HdmRouter` to the owning device
-//! of a [`Fleet`], with the launch store charged on the switch ports.
+//! The runtime drives the cycle-level simulators themselves: every
+//! admitted request becomes an actual kernel launch on a
+//! [`CxlM2ndpDevice`] — through the full M²func wire protocol
+//! ([`m2ndp_core::m2func`]) when the mechanism is M²func — or is routed
+//! through the `CxlSwitch`/`HdmRouter` to the owning device of a
+//! [`Fleet`], with the launch store charged on the switch ports.
 //!
 //! The pieces:
 //!
@@ -680,7 +680,7 @@ pub fn run<W: ServeWorkload + Sync>(
 }
 
 // ---------------------------------------------------------------------------
-// The KVStore serving workloads (Figs. 1b/10b/11a/11c, fig15)
+// The KVStore serving workloads (fig10b, fig11b, fig11c, fig15)
 // ---------------------------------------------------------------------------
 
 /// A KVStore GET workload sharded across the backend's devices: the global
@@ -916,7 +916,7 @@ mod tests {
     use super::*;
     use m2ndp_core::fleet::FleetConfig;
     use m2ndp_core::M2ndpConfig;
-    use m2ndp_cxl::SwitchConfig;
+    use m2ndp_cxl::{CxlIoModel, CxlLinkConfig, SwitchConfig};
     use m2ndp_sim::trace::ScaleDir;
 
     fn small_cfg() -> M2ndpConfig {
@@ -932,6 +932,18 @@ mod tests {
             switch: SwitchConfig::default(),
             hdm_bytes_per_device: 64 << 20,
         })))
+    }
+
+    /// Serves `tenants` on a standalone device holding a 1K-item store.
+    fn serve_on_device(cfg: &ServeConfig, tenants: &[TenantSpec]) -> ServeReport {
+        let mut backend = ServeBackend::Device(Box::new(CxlM2ndpDevice::new(small_cfg())));
+        let mut wl = KvServeWorkload::build(&mut backend, 1 << 10, 0.9);
+        run(&mut backend, &mut wl, cfg, tenants)
+    }
+
+    /// `requests` requests that all arrive at t = 0.
+    fn all_at_zero(requests: usize) -> Vec<TenantSpec> {
+        vec![TenantSpec::trace("t0", vec![0.0]).requests(requests)]
     }
 
     fn tenants(requests: usize, rate: f64) -> Vec<TenantSpec> {
@@ -1039,6 +1051,93 @@ mod tests {
         let m2 = p95(OffloadMechanism::M2Func);
         let rb = p95(OffloadMechanism::CxlIoRingBuffer);
         assert!(rb > 2.0 * m2, "RB P95 {rb} should dwarf M2func P95 {m2}");
+    }
+
+    /// The event clock stays in `f64` ns: on direct MMIO's single slot,
+    /// each request is admitted exactly when the previous one is observed,
+    /// so the clock is the exact sum of the per-request periods.
+    /// Fractional link latencies make a rounded clock drift visibly.
+    #[test]
+    fn f64_clock_accrues_no_quantization_drift() {
+        let model = OffloadModel::new(
+            OffloadMechanism::CxlIoDirect,
+            CxlLinkConfig::default_150ns(),
+            CxlIoModel::with_one_way_ns(333.3),
+        );
+        let (pre, post) = (model.pre_ns(), model.post_ns());
+        let cfg = ServeConfig {
+            model,
+            ..ServeConfig::with_defaults(OffloadMechanism::CxlIoDirect)
+        };
+        let mut clock = 0.0;
+        for r in &serve_on_device(&cfg, &all_at_zero(300)).records {
+            assert_eq!(r.admitted_ns, clock, "admitted off the exact clock");
+            assert_eq!(r.start_ns, r.admitted_ns + pre);
+            assert_eq!(r.observed_ns, r.start_ns + r.service_ns + post);
+            clock = r.observed_ns;
+        }
+    }
+
+    /// The ring buffer's doorbell/DMA phase starts only once a kernel slot
+    /// is free; it never overlaps the queue wait.
+    #[test]
+    fn pre_launch_overhead_is_charged_after_admission() {
+        let cfg = ServeConfig::with_defaults(OffloadMechanism::CxlIoRingBuffer).device_slots(1);
+        let (pre, post) = (cfg.model.pre_ns(), cfg.model.post_ns());
+        let report = serve_on_device(&cfg, &all_at_zero(2));
+        let [first, second] = [report.records[0], report.records[1]];
+        assert_eq!(first.latency_ns(), pre + first.service_ns + post);
+        // The second request queues behind the first kernel, then pays its
+        // own full pre phase.
+        assert_eq!(second.admitted_ns, first.start_ns + first.service_ns);
+        assert_eq!(
+            second.latency_ns(),
+            pre + first.service_ns + pre + second.service_ns + post
+        );
+    }
+
+    /// A saturated run reports the slot pool's steady service rate: the
+    /// window opens after the warm-up requests, not at t = 0.
+    #[test]
+    fn throughput_is_measured_over_the_steady_window() {
+        // 8 slots: 120 pool turnovers, so the window edges cost ~1%.
+        let cfg = ServeConfig::with_defaults(OffloadMechanism::M2Func).device_slots(8);
+        let pre = cfg.model.pre_ns();
+        let report = serve_on_device(&cfg, &all_at_zero(960));
+        // Mean slot occupancy of the measured requests (10% warm-up and 5%
+        // drain excluded): warm-up kernels run on cold caches.
+        let measured = &report.records[96..912];
+        let occupancy =
+            measured.iter().map(|r| pre + r.service_ns).sum::<f64>() / measured.len() as f64;
+        let steady = 8.0 / (occupancy * 1e-9);
+        assert!(
+            (report.throughput - steady).abs() / steady < 0.02,
+            "windowed throughput {:.3e} vs steady-state {steady:.3e}",
+            report.throughput
+        );
+        let (open, close) = report.steady_window;
+        assert!(open > 0.0 && close > open);
+    }
+
+    /// At a saturating offered load M²func's 48 slots sustain far more
+    /// than direct MMIO's single serialized register.
+    #[test]
+    fn m2func_sustains_higher_throughput_than_direct() {
+        let throughput = |mech: OffloadMechanism| {
+            let tenant = TenantSpec::poisson("kvs", 1e8).requests(400).seed(42);
+            serve_on_device(&ServeConfig::with_defaults(mech), &[tenant]).throughput
+        };
+        let m2 = throughput(OffloadMechanism::M2Func);
+        let dr = throughput(OffloadMechanism::CxlIoDirect);
+        assert!(m2 > 10.0 * dr, "M2func {m2:.2e} vs direct {dr:.2e}");
+    }
+
+    /// Arrivals must be non-decreasing: a trace with a negative gap is a
+    /// malformed spec, not a data point.
+    #[test]
+    #[should_panic(expected = "bad inter-arrival gap")]
+    fn negative_trace_gap_is_rejected() {
+        let _ = arrival_times(&TenantSpec::trace("t", vec![10.0, -5.0]).requests(2));
     }
 
     #[test]

@@ -283,8 +283,7 @@ pub(super) fn finish_run(
         (Vec::new(), Vec::new())
     };
 
-    // ---- measurement windows (same definition as OffloadSim's, via the
-    // shared helper, plus the drain-tail exclusion) ----
+    // ---- measurement window: warm-up prefix and drain tail excluded ----
     let arrivals_ns: Vec<f64> = records.iter().map(|r| r.arrival_ns).collect();
     let completions_ns: Vec<f64> = records.iter().map(|r| r.observed_ns).collect();
     let window = crate::offload::steady_window(

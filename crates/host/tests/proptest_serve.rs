@@ -1,20 +1,21 @@
-//! Property tests for the fixed open-loop `OffloadSim` and the
-//! event-driven serving runtime: latencies are never below the mechanism
-//! overhead, FIFO admission preserves per-tenant order on every device,
-//! direct MMIO never exceeds one outstanding kernel, and a standalone
-//! device matches a 1-device fleet up to the switch hop.
+//! Property tests for the event-driven serving runtime: latencies are
+//! never below the mechanism overhead plus the kernel's own service time,
+//! steady-window throughput never exceeds the slot pool's capacity, FIFO
+//! admission preserves per-tenant order on every device, direct MMIO never
+//! exceeds one outstanding kernel, and a standalone device matches a
+//! 1-device fleet up to the switch hop.
 //!
 //! The serving cases drive real device simulators, so they use small
 //! request budgets and few proptest cases (6, or `PROPTEST_CASES` when
-//! set, so CI can run a deeper pass); the closed-form `OffloadSim` cases
-//! are cheap and run at the usual counts.
+//! set, so CI can run a deeper pass); the arrival-process cases run no
+//! simulator and take the usual counts.
 
 use std::collections::HashMap;
 
 use m2ndp_core::fleet::{Fleet, FleetConfig};
 use m2ndp_core::{CxlM2ndpDevice, M2ndpConfig};
 use m2ndp_cxl::SwitchConfig;
-use m2ndp_host::offload::{OffloadMechanism, OffloadModel, OffloadSim};
+use m2ndp_host::offload::{OffloadMechanism, OffloadModel};
 use m2ndp_host::serve::{self, KvServeWorkload, ServeBackend, ServeConfig, TenantSpec};
 use proptest::prelude::*;
 
@@ -82,63 +83,18 @@ fn serve_all(
     serve::run(&mut be, &mut wl, &cfg, &tenants(requests, rate, seed))
 }
 
+/// One Poisson tenant of `requests` GETs served by a standalone device.
+fn serve_one(cfg: &ServeConfig, requests: usize, rate: f64, seed: u64) -> serve::ServeReport {
+    let mut be = backend(1);
+    let mut wl = KvServeWorkload::build(&mut be, 512, 0.9);
+    let tenant = TenantSpec::poisson("kvs", rate)
+        .requests(requests)
+        .seed(seed);
+    serve::run(&mut be, &mut wl, cfg, &[tenant])
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Closed-form sim: every latency is at least the mechanism overhead
-    /// plus the smallest service time, and all are finite.
-    #[test]
-    fn offload_latencies_never_below_overhead(
-        mech_idx in 0u8..3,
-        rate in 1e4f64..1e9,
-        n in 20usize..400,
-        seed in any::<u64>(),
-        service in proptest::collection::vec(50.0f64..5_000.0, 1..4),
-    ) {
-        let model = OffloadModel::with_defaults(mechanism(mech_idx));
-        let overhead = model.overhead_ns();
-        let min_service = service.iter().copied().fold(f64::INFINITY, f64::min);
-        let res = OffloadSim::new(model, 48).run(n, rate, &service, seed);
-        prop_assert_eq!(res.latencies.count(), n);
-        for &l in res.latencies.samples() {
-            prop_assert!(l.is_finite());
-            prop_assert!(
-                l >= overhead + min_service - 1e-9,
-                "latency {l} below floor {}",
-                overhead + min_service
-            );
-        }
-    }
-
-    /// The steady-window throughput never exceeds the slot pool's service
-    /// capacity (with a small windowing tolerance) and is positive.
-    #[test]
-    fn offload_throughput_is_bounded_by_capacity(
-        mech_idx in 0u8..3,
-        rate in 1e5f64..1e9,
-        seed in any::<u64>(),
-        service in 100.0f64..2_000.0,
-    ) {
-        let mech = mechanism(mech_idx);
-        let model = OffloadModel::with_defaults(mech);
-        let slots = f64::from(model.max_concurrent());
-        // A slot is busy for pre+service (M2func/RB) or the full
-        // round trip (direct MMIO).
-        let occupancy = if mech == OffloadMechanism::CxlIoDirect {
-            model.overhead_ns() + service
-        } else {
-            model.pre_ns() + service
-        };
-        let capacity = slots / (occupancy * 1e-9);
-        let res = OffloadSim::new(model, 48).run(600, rate, &[service], seed);
-        prop_assert!(res.throughput > 0.0);
-        prop_assert!(
-            res.throughput <= capacity * 1.05,
-            "throughput {:.3e} exceeds capacity {:.3e}",
-            res.throughput,
-            capacity
-        );
-    }
 
     /// Burst arrivals are monotone non-decreasing and their long-run mean
     /// rate converges to the configured rate — the property that keeps
@@ -208,6 +164,69 @@ proptest! {
             }
             last.insert((r.tenant, r.device), (r.seq, r.admitted_ns));
         }
+    }
+
+    /// On one device, every request's latency is at least the mechanism
+    /// overhead plus its own kernel's service time, over arrival rates from
+    /// idle to far past saturation, and all are finite.
+    #[test]
+    fn offload_latencies_never_below_overhead(
+        mech_idx in 0u8..3,
+        rate in 1e4f64..1e9,
+        n in 20usize..120,
+        seed in any::<u64>(),
+    ) {
+        let cfg = ServeConfig::with_defaults(mechanism(mech_idx));
+        let overhead = cfg.model.overhead_ns();
+        let report = serve_one(&cfg, n, rate, seed);
+        prop_assert_eq!(report.records.len(), n);
+        for r in &report.records {
+            prop_assert!(r.latency_ns().is_finite());
+            prop_assert!(
+                r.latency_ns() >= overhead + r.service_ns - 1e-9,
+                "latency {} below floor {}",
+                r.latency_ns(),
+                overhead + r.service_ns
+            );
+        }
+    }
+
+    /// The steady-window throughput on one device is positive and never
+    /// exceeds the slot pool's service capacity at the shortest measured
+    /// kernel (with a small windowing tolerance).
+    #[test]
+    fn offload_throughput_is_bounded_by_capacity(
+        mech_idx in 0u8..3,
+        rate in 1e5f64..1e9,
+        seed in any::<u64>(),
+    ) {
+        let mech = mechanism(mech_idx);
+        // Four slots (one for direct MMIO): 200 requests turn the pool
+        // over ~50 times, so the window edges stay inside the tolerance.
+        let cfg = ServeConfig::with_defaults(mech).device_slots(4);
+        let model = &cfg.model;
+        let slots = f64::from(model.max_concurrent().min(cfg.device_slots));
+        let report = serve_one(&cfg, 200, rate, seed);
+        let min_service = report
+            .records
+            .iter()
+            .map(|r| r.service_ns)
+            .fold(f64::INFINITY, f64::min);
+        // A slot is busy for pre+service (M2func/RB) or the full round
+        // trip (direct MMIO).
+        let occupancy = if mech == OffloadMechanism::CxlIoDirect {
+            model.overhead_ns() + min_service
+        } else {
+            model.pre_ns() + min_service
+        };
+        let capacity = slots / (occupancy * 1e-9);
+        prop_assert!(report.throughput > 0.0);
+        prop_assert!(
+            report.throughput <= capacity * 1.05,
+            "throughput {:.3e} exceeds capacity {:.3e}",
+            report.throughput,
+            capacity
+        );
     }
 
     /// Direct MMIO never has more than one kernel outstanding per device,

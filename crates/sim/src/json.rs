@@ -398,8 +398,12 @@ impl<'a> Parser<'a> {
         if end > self.bytes.len() {
             return Err(self.err("truncated \\u escape"));
         }
-        let hex = std::str::from_utf8(&self.bytes[start..end])
+        // Exactly four ASCII hex digits: `from_str_radix` alone would also
+        // accept a sign (`\u+041`).
+        let digits = &self.bytes[start..end];
+        let hex = std::str::from_utf8(digits)
             .ok()
+            .filter(|_| digits.iter().all(u8::is_ascii_hexdigit))
             .and_then(|h| u32::from_str_radix(h, 16).ok())
             .ok_or_else(|| self.err("invalid \\u escape"))?;
         self.pos = end - 1;
@@ -429,9 +433,13 @@ impl<'a> Parser<'a> {
                 .map(Json::U64)
                 .map_err(|_| self.err("invalid integer"))
         } else {
-            text.parse::<f64>()
-                .map(Json::F64)
-                .map_err(|_| self.err("invalid number"))
+            // A finite text can still overflow to infinity (`1e999`), which
+            // has no JSON form: `pretty` would write it back as `null`.
+            match text.parse::<f64>() {
+                Ok(f) if f.is_finite() => Ok(Json::F64(f)),
+                Ok(_) => Err(self.err("number out of range")),
+                Err(_) => Err(self.err("invalid number")),
+            }
         }
     }
 }
@@ -630,6 +638,22 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\" 1}", "tru", "1 2", "\"unterminated"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(Json::parse(r#""\u0041""#), Ok(Json::Str("A".into())));
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u04G1""#] {
+            assert!(Json::parse(bad).is_err(), "{bad} should fail");
+        }
+    }
+
+    #[test]
+    fn numbers_that_overflow_to_infinity_are_rejected() {
+        for bad in ["1e999", "-1e999", "[1.5e400]"] {
+            assert!(Json::parse(bad).is_err(), "{bad} should fail");
+        }
+        assert_eq!(Json::parse("1e-999"), Ok(Json::F64(0.0)));
     }
 
     #[test]

@@ -1,7 +1,42 @@
-//! Property tests for the simulation primitives.
+//! Property tests for the simulation primitives and the JSON parser.
 
+use m2ndp_sim::json::Json;
 use m2ndp_sim::{BandwidthGate, BoundedQueue, EventQueue, Histogram};
 use proptest::prelude::*;
+
+/// A JSON document whose shape `picks` steers (depth-capped; exhausted
+/// picks end in `null`), with strings that need every kind of escape.
+fn json_doc(picks: &mut std::slice::Iter<'_, u8>, depth: u32) -> Json {
+    let items = |picks: &mut std::slice::Iter<'_, u8>| -> Vec<Json> {
+        (0..3).map(|_| json_doc(picks, depth + 1)).collect()
+    };
+    match picks.next().map(|p| p % 7) {
+        Some(1) => Json::Bool(true),
+        Some(2) => Json::U64(u64::MAX / 3),
+        Some(3) => Json::F64(-0.15e-3),
+        Some(4) => Json::Str("k\u{1}\"\\\n\u{e9}\u{1F600}".into()),
+        Some(5) if depth < 4 => Json::Arr(items(picks)),
+        Some(6) if depth < 4 => Json::Obj(
+            items(picks)
+                .into_iter()
+                .enumerate()
+                .map(|(i, v)| (format!("k{i}\t"), v))
+                .collect(),
+        ),
+        _ => Json::Null,
+    }
+}
+
+/// Parses `bytes` (lossily decoded): the parser must return, never panic,
+/// and a document it accepts must come back equal from its own
+/// `pretty()` output.
+fn check_json_round_trip(bytes: &[u8]) {
+    let text = String::from_utf8_lossy(bytes);
+    if let Ok(doc) = Json::parse(&text) {
+        let again = Json::parse(&doc.pretty());
+        prop_assert_eq!(again.as_ref(), Ok(&doc), "{:?} re-parsed differently", text);
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -70,5 +105,43 @@ proptest! {
         prop_assert!(p50 <= p95 && p95 <= p100);
         prop_assert_eq!(p100, *samples.iter().max().unwrap() as u64);
         prop_assert!(p50 >= *samples.iter().min().unwrap() as u64);
+    }
+}
+
+proptest! {
+    // Parsing is cheap: run the input-hardening properties deeper.
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// `Json::parse` on arbitrary bytes never panics (see
+    /// [`check_json_round_trip`]).
+    #[test]
+    fn json_parse_never_panics_on_arbitrary_bytes(
+        bytes in prop::collection::vec(any::<u8>(), 0..256),
+    ) {
+        check_json_round_trip(&bytes);
+    }
+
+    /// The same over pretty-printed documents with a few bytes inserted,
+    /// deleted or overwritten, which reach the string, escape, number and
+    /// nesting paths far more often than random bytes; unedited documents
+    /// must round-trip.
+    #[test]
+    fn json_parse_never_panics_on_edited_documents(
+        picks in prop::collection::vec(any::<u8>(), 0..40),
+        edits in prop::collection::vec((any::<u16>(), any::<u8>(), 0u8..3), 0..4),
+    ) {
+        let mut bytes = json_doc(&mut picks.iter(), 0).pretty().into_bytes();
+        for (at, byte, kind) in edits {
+            let at = usize::from(at) % (bytes.len() + 1);
+            match kind {
+                0 => bytes.insert(at, byte),
+                1 if at < bytes.len() => {
+                    bytes.remove(at);
+                }
+                _ if at < bytes.len() => bytes[at] = byte,
+                _ => {}
+            }
+        }
+        check_json_round_trip(&bytes);
     }
 }

@@ -1,66 +1,51 @@
-//! KVStore tail latency: fine-grained GET kernels on the device, then the
-//! offload-mechanism comparison of Fig. 10b.
+//! KVStore tail latency: an open-loop stream of fine-grained GET kernels
+//! served on one device, one real kernel launch per request (each verified
+//! against the store), under each offload mechanism of Fig. 10b.
 //!
 //! ```text
 //! cargo run --release --example kvstore_tail_latency
 //! ```
 
-use m2ndp::host::offload::{OffloadMechanism, OffloadModel, OffloadSim};
-use m2ndp::workloads::kvstore;
+use m2ndp::host::offload::OffloadMechanism;
+use m2ndp::host::serve::{self, KvServeWorkload, ServeBackend, ServeConfig, TenantSpec};
+use m2ndp::sim::FHistogram;
 use m2ndp::SystemBuilder;
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut device = SystemBuilder::m2ndp().units(2).build();
-    let cfg = kvstore::KvConfig {
-        items: 64 << 10,
-        buckets: 32 << 10,
-        get_ratio: 1.0,
-        requests: 100,
-        zipf_theta: 0.99,
-        seed: 0xCB5A,
-    };
-    let data = kvstore::generate(cfg, device.memory_mut());
-    let kid = device.register_kernel(kvstore::kernel());
-    let freq = device.config().engine.freq;
-
-    // Measure per-request kernel service times on the device.
-    let mut service_ns = Vec::new();
-    for (i, &req) in data.requests.clone().iter().enumerate() {
-        let start = device.now();
-        let inst = device.launch(kvstore::launch(&data, kid, req, (i % 64) as u32, 0))?;
-        let done = device.run_until_finished(inst);
-        service_ns.push(freq.ns_from_cycles(done - start));
-        kvstore::verify_get(&data, device.memory(), req, (i % 64) as u32)
-            .map_err(std::io::Error::other)?;
-    }
-    let mut sorted = service_ns.clone();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    println!(
-        "GET kernel runtime on the device: p50 {:.0} ns, p95 {:.0} ns (paper: 0.77 us P95)",
-        sorted[sorted.len() / 2],
-        sorted[(sorted.len() * 95) / 100]
-    );
-
-    // End-to-end P95 under each offload mechanism at 1M req/s.
-    println!("\nend-to-end P95 at 1M req/s:");
-    for (label, mech) in [
+fn main() {
+    // 10k GETs at 1M req/s against a 64K-item store, per mechanism.
+    let mut runs: Vec<_> = [
         ("M2func           ", OffloadMechanism::M2Func),
         ("CXL.io ring buf  ", OffloadMechanism::CxlIoRingBuffer),
         ("CXL.io direct    ", OffloadMechanism::CxlIoDirect),
-    ] {
-        let mut r = OffloadSim::new(OffloadModel::with_defaults(mech), 48).run(
-            10_000,
-            1.0e6,
-            &service_ns,
-            7,
-        );
+    ]
+    .into_iter()
+    .map(|(label, mech)| {
+        let mut backend = ServeBackend::Device(Box::new(SystemBuilder::m2ndp().units(2).build()));
+        let mut store = KvServeWorkload::build(&mut backend, 64 << 10, 0.99);
+        let cfg = ServeConfig::with_defaults(mech);
+        let tenant = TenantSpec::poisson("kvs", 1.0e6).requests(10_000).seed(7);
+        (label, serve::run(&mut backend, &mut store, &cfg, &[tenant]))
+    })
+    .collect();
+
+    let mut service = FHistogram::new();
+    for r in &runs[0].1.records {
+        service.record(r.service_ns);
+    }
+    println!(
+        "GET kernel runtime on the device: p50 {:.0} ns, p95 {:.0} ns (paper: 0.77 us P95)",
+        service.percentile(0.5),
+        service.percentile(0.95)
+    );
+
+    println!("\nend-to-end P95 at 1M req/s:");
+    for (label, report) in &mut runs {
         println!(
             "  {label} P95 = {:>8.0} ns   throughput = {:.2e}/s",
-            r.latencies.percentile(0.95),
-            r.throughput
+            report.combined.percentile(0.95),
+            report.throughput
         );
     }
     println!("\nM2func keeps the launch overhead at 2 CXL.mem one-way latencies (150 ns),");
     println!("so the tail is dominated by the kernel itself, not the offload path (Fig. 10b).");
-    Ok(())
 }
